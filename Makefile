@@ -21,7 +21,10 @@ test:
 race:
 	$(GO) test -race -timeout 1800s ./...
 
-# bench smoke: compile and run every benchmark once, no timing claims.
+# bench smoke: run every benchmark once, no timing claims. The only
+# Benchmark function is cmd/htbench's adapter over the htbench suites
+# registry (BenchmarkSuite/<suite>/<name>; scaling excluded, as under
+# -suite all), so this smoke-runs exactly the recorded benchmarks.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -timeout 1800s ./...
 

@@ -8,9 +8,7 @@ import (
 )
 
 // runCompare diffs a fresh suite measurement against a committed
-// baseline and fails (non-nil error) on any tolerance violation. Both
-// schemas benchio understands are accepted, so the committed legacy
-// BENCH_campaign.json remains comparable.
+// baseline and fails (non-nil error) on any tolerance violation.
 //
 // A core-count mismatch between the two environments is not a drift
 // verdict either way: benchio.Compare refuses to produce one, and

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	htbench [-suite all|campaign|solvers|market|inference|scaling] [-benchtime 10x]
+//	htbench [-suite all|campaign|solvers|market|inference|crowddb|scaling] [-benchtime 10x]
 //	        [-out .] [-commit abc1234] [-list]
 //	htbench -compare [-max-ns-ratio 2.0] [-max-alloc-ratio 1.5] BASELINE FRESH
 //	htbench -loadtest MULT

@@ -32,6 +32,18 @@ func TestSelectSuites(t *testing.T) {
 	if _, err := selectSuites("nope"); err == nil {
 		t.Error("selectSuites accepted an unknown suite")
 	}
+	// Suite names are the lookup key here and the first path element of
+	// BenchmarkSuite/<suite>/<name>: a duplicate would be shadowed by
+	// selectSuites and renamed "#01" by the bench adapter. (Benchmark
+	// names within a suite are pinned unique by TestSuiteRegistry and
+	// TestScalingSuiteShape.)
+	names := map[string]bool{}
+	for _, s := range append(append([]suiteDef(nil), suites...), scalingSuite) {
+		if names[s.name] {
+			t.Errorf("duplicate suite name %q", s.name)
+		}
+		names[s.name] = true
+	}
 }
 
 // TestScalingSuiteShape pins the scaling grid: every fleet shape is
@@ -119,7 +131,7 @@ func TestSuiteRegistry(t *testing.T) {
 // TestRunSuitesAndCompare drives the real harness end to end on the
 // cheap suites at one iteration: measure, write, self-compare (always
 // within tolerance), then a doctored regression must fail. The campaign
-// suite is exercised by BenchmarkCampaignFleet and the fleet tests; its
+// suite is exercised by BenchmarkSuite/campaign and the fleet tests; its
 // two fleet runs per benchmark are too heavy for the unit suite.
 func TestRunSuitesAndCompare(t *testing.T) {
 	if testing.Short() {

@@ -350,7 +350,7 @@ var inferenceSuite = suiteDef{
 var campaignSuite = suiteDef{
 	name:        "campaign",
 	pkg:         "hputune/internal/campaign",
-	description: "16 concurrent closed-loop campaigns x 8 rounds each (solve -> market-execute -> re-fit per round), shared estimator; one iteration = 128 rounds (workload.BenchCampaignFleet, same fleet as BenchmarkCampaignFleet)",
+	description: "16 concurrent closed-loop campaigns x 8 rounds each (solve -> market-execute -> re-fit per round), shared estimator; one iteration = 128 rounds (workload.BenchCampaignFleet)",
 	benchmarks: []benchDef{
 		{name: "CampaignFleet", rounds: 128, workers: 4, note: "4-worker pool (explicit - workers=0 means GOMAXPROCS, which on a 1-CPU recorder silently ran the serial path); steady state (one warmup fleet run before the timer)", fn: func(b *testing.B) {
 			cfgs := workload.BenchCampaignFleet()
@@ -565,9 +565,11 @@ var crowddbSuite = suiteDef{
 	},
 }
 
-// suites is the registry of the committed per-PR drift baselines, in the
-// order files are written; `-suite all` and bench-smoke run exactly
-// these. The scaling suite is registered separately (selectSuites finds
-// it by name) because its 10k-campaign cells are too heavy for the CI
-// smoke gate — `make bench-scaling` runs it on demand.
+// suites is the repository's one benchmark registry: the committed
+// per-PR drift baselines, in the order files are written. `-suite all`,
+// bench-smoke and the `go test -bench` adapter (BenchmarkSuite) run
+// exactly these. The scaling suite is registered separately
+// (selectSuites finds it by name) because its 10k-campaign cells are
+// too heavy for the CI smoke gate — `make bench-scaling` runs it on
+// demand.
 var suites = []suiteDef{campaignSuite, solverSuite, marketSuite, inferenceSuite, crowddbSuite}

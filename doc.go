@@ -222,9 +222,9 @@
 // the paper's related work (the deadline pricing of [29] and the prepaid
 // Retainer Model of [26–28]), statistical model validation (KS and
 // chi-square exponentiality tests, exact rate confidence intervals),
-// trace interchange (CSV/JSONL), an adaptive inference-and-retuning
-// controller, and the harness regenerating every figure and table of the
-// paper's evaluation (RunExperiment).
+// trace interchange (CSV/JSONL), and the harness regenerating every
+// figure and table of the paper's evaluation (RunExperiment). The
+// inference-and-retuning loop itself is the campaign engine above.
 //
 // # API index
 //
@@ -246,12 +246,11 @@
 //     probes (Probe, EstimateFixedPeriod, ...) and RunExperiment.
 //   - Latency distributions (distributions.go): Distribution with the
 //     Exponential, Erlang, HyperExponential and LogNormal families.
-//   - Adaptive control (adaptive.go): AdaptiveController and its
-//     spec/report types — interleaved inference and re-tuning.
 //   - Validation (stats.go): TestExponential, TestExponentialBinned,
 //     RateIntervalFromDurations with KSResult, ChiSquareResult, RateCI.
 //   - Campaigns (campaign.go): Campaign and its part types, RunCampaign,
-//     RunCampaignFleet, PaperCampaignFleet.
+//     RunCampaignFleet, PaperCampaignFleet — the closed tune → observe →
+//     re-fit loop (Sec 3.3).
 //   - Serving (serve.go): ServerConfig, TrafficConfig, Server,
 //     NewServer, MetricsSnapshot, CacheStats; durable variants Store,
 //     StoreOptions, OpenStore, RecoverServer.

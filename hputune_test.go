@@ -210,7 +210,8 @@ func TestPublicWorkloads(t *testing.T) {
 	if m.Rate(5) != 0.0038 {
 		t.Errorf("calibrated rate wrong: %v", m.Rate(5))
 	}
-	p, err := hputune.Fig2Problem(hputune.ScenarioRepetition, hputune.Linear{K: 1, B: 1}, 900)
+	// Fig 5c: three single-task image-filter groups.
+	p, err := hputune.Fig5cProblem(600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +223,8 @@ func TestPublicWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 100 {
+	if len(specs) != 3 {
 		t.Errorf("got %d specs", len(specs))
-	}
-	if _, err := hputune.Fig5cProblem(600); err != nil {
-		t.Errorf("fig5c problem: %v", err)
 	}
 	if _, err := hputune.ImageFilterClass(6); err != nil {
 		t.Errorf("image filter class: %v", err)

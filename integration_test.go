@@ -226,27 +226,6 @@ func TestComparatorFacade(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFacade runs the adaptive controller through the facade.
-func TestAdaptiveFacade(t *testing.T) {
-	truth := hputune.Linear{K: 1, B: 1}
-	class := &hputune.TaskClass{Name: "vote", Accept: truth, ProcRate: 4, Accuracy: 1}
-	c := &hputune.AdaptiveController{
-		Groups: []hputune.AdaptiveGroupSpec{
-			{Name: "g", Tasks: 20, Reps: 3, TrueClass: class},
-		},
-		Budget: 600,
-		Prior:  truth,
-		Seed:   2,
-	}
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Makespan <= 0 || rep.Spent > 600 || len(rep.WavePrices) != 3 {
-		t.Errorf("adaptive report wrong: %+v", rep)
-	}
-}
-
 // TestGroupByTopKFacade exercises the group-by and top-k operators
 // through the public API.
 func TestGroupByTopKFacade(t *testing.T) {

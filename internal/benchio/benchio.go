@@ -10,8 +10,7 @@
 // same environment block and per-benchmark counters (ns_per_op,
 // bytes_per_op, allocs_per_op, ms_per_round), with the single "results"
 // object generalized to a "benchmarks" list so one suite file records
-// several benchmarks. Read still accepts the legacy single-result form
-// and normalizes it, so trajectories can span the schema change.
+// several benchmarks.
 package benchio
 
 import (
@@ -131,29 +130,8 @@ type Suite struct {
 	Command string `json:"command"`
 }
 
-// legacySuite is the original hand-written BENCH_campaign.json shape:
-// one benchmark, its counters in a nested "results" object, the commit
-// recorded as free-form "commit_note".
-type legacySuite struct {
-	Benchmark   string      `json:"benchmark"`
-	Package     string      `json:"package"`
-	Description string      `json:"description"`
-	Recorded    string      `json:"recorded"`
-	CommitNote  string      `json:"commit_note"`
-	Environment Environment `json:"environment"`
-	Results     *struct {
-		Iterations  int     `json:"iterations"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		MsPerRound  float64 `json:"ms_per_round"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	} `json:"results"`
-	Command string `json:"command"`
-}
-
-// Read loads a suite file, accepting both the current multi-benchmark
-// schema and the legacy single-result BENCH_campaign.json form (which
-// it normalizes into a one-benchmark Suite).
+// Read loads a suite file. A file without a benchmarks list is an
+// error, not an empty suite.
 func Read(path string) (Suite, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -163,30 +141,10 @@ func Read(path string) (Suite, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Suite{}, fmt.Errorf("benchio: %s: %w", path, err)
 	}
-	if len(s.Benchmarks) > 0 {
-		return s, nil
+	if len(s.Benchmarks) == 0 {
+		return Suite{}, fmt.Errorf("benchio: %s: no benchmarks", path)
 	}
-	var l legacySuite
-	if err := json.Unmarshal(data, &l); err != nil || l.Results == nil {
-		return Suite{}, fmt.Errorf("benchio: %s: no benchmarks and no legacy results block", path)
-	}
-	return Suite{
-		Suite:       strings.TrimPrefix(l.Benchmark, "Benchmark"),
-		Package:     l.Package,
-		Description: l.Description,
-		Recorded:    l.Recorded,
-		Commit:      "unknown",
-		Environment: l.Environment,
-		Benchmarks: []Result{{
-			Name:        strings.TrimPrefix(l.Benchmark, "Benchmark"),
-			Iterations:  l.Results.Iterations,
-			NsPerOp:     l.Results.NsPerOp,
-			BytesPerOp:  l.Results.BytesPerOp,
-			AllocsPerOp: l.Results.AllocsPerOp,
-			MsPerRound:  l.Results.MsPerRound,
-		}},
-		Command: l.Command,
-	}, nil
+	return s, nil
 }
 
 // Write stores the suite as pretty-printed JSON with a trailing newline

@@ -51,48 +51,19 @@ func TestWriteRejectsEmpty(t *testing.T) {
 	}
 }
 
-// TestReadLegacy pins compatibility with the original hand-written
-// BENCH_campaign.json schema: a single nested results object becomes a
-// one-benchmark suite.
-func TestReadLegacy(t *testing.T) {
-	legacy := `{
-  "benchmark": "BenchmarkCampaignFleet",
-  "package": "hputune/internal/campaign",
-  "description": "16 campaigns x 8 rounds",
-  "recorded": "2026-07-27",
-  "commit_note": "first baseline",
-  "environment": {"goos": "linux", "goarch": "amd64", "cpus": 1, "gomaxprocs": 0},
-  "results": {
-    "iterations": 10,
-    "ns_per_op": 102087758,
-    "ms_per_round": 0.797,
-    "bytes_per_op": 38851516,
-    "allocs_per_op": 312027
-  },
-  "command": "go test -bench CampaignFleet"
-}`
+// TestReadRejectsMissingBenchmarks pins that a file without a
+// benchmarks list — here the retired single-result schema, whose
+// counters sat in a nested "results" object — fails loudly instead of
+// reading as an empty suite that every comparison would pass.
+func TestReadRejectsMissingBenchmarks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_campaign.json")
-	if err := writeFile(path, legacy); err != nil {
+	old := `{"benchmark": "CampaignFleet", "results": {"iterations": 10, "ns_per_op": 1e8}}`
+	if err := osWriteFile(path, []byte(old)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Read(path); err == nil || !strings.Contains(err.Error(), "no benchmarks") {
+		t.Fatalf("Read of a file without benchmarks: err %v, want a \"no benchmarks\" error", err)
 	}
-	if s.Suite != "CampaignFleet" || len(s.Benchmarks) != 1 {
-		t.Fatalf("legacy normalization wrong: %+v", s)
-	}
-	b := s.Benchmarks[0]
-	if b.Name != "CampaignFleet" || b.AllocsPerOp != 312027 || b.MsPerRound != 0.797 {
-		t.Errorf("legacy counters lost: %+v", b)
-	}
-	if s.Commit != "unknown" {
-		t.Errorf("legacy commit_note should normalize to %q, got %q", "unknown", s.Commit)
-	}
-}
-
-func writeFile(path, content string) error {
-	return osWriteFile(path, []byte(content))
 }
 
 // mustCompare fails the test on Compare's environment-mismatch error;

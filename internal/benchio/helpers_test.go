@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// osWriteFile indirects os.WriteFile for the legacy-schema fixture.
+// osWriteFile indirects os.WriteFile for raw-JSON fixtures.
 func osWriteFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }

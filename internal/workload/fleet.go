@@ -195,9 +195,10 @@ func CrowdQueryCampaignFleet(seed uint64) ([]campaign.Config, error) {
 // campaigns that each run exactly 8 full closed-loop rounds (epsilon 0
 // on a stationary two-price market never converges, the budget outlasts
 // the deadline), so one fleet run is 128 solve→simulate→re-fit rounds.
-// It is the single source of truth for the campaign perf baseline —
-// BenchmarkCampaignFleet and the htbench campaign suite both drive it,
-// so their numbers stay comparable across the trajectory.
+// It is the single source of truth for the campaign perf baseline: the
+// htbench campaign suite drives it (also under `go test -bench` as
+// BenchmarkSuite/campaign/CampaignFleet), so its numbers stay comparable
+// across the trajectory.
 func BenchCampaignFleet() []campaign.Config {
 	return BenchCampaignFleetSize(16, 8)
 }

@@ -152,27 +152,9 @@ func CalibratedAcceptModel() (RateModel, error) { return workload.CalibratedAcce
 // with 4, 6 or 8 internal votes.
 func ImageFilterClass(votes int) (*TaskClass, error) { return workload.ImageFilterClass(votes) }
 
-// Fig2Problem builds one synthetic-evaluation tuning instance.
-func Fig2Problem(s WorkloadScenario, model RateModel, budget int) (Problem, error) {
-	return workload.Fig2Problem(s, model, budget)
-}
-
 // Fig5cProblem builds the Mechanical-Turk tuning comparison instance
 // (three types, 10/15/20 repetitions) at a budget in cents.
 func Fig5cProblem(budgetCents int) (Problem, error) { return workload.Fig5cProblem(budgetCents) }
-
-// WorkloadScenario selects a Fig 2 scenario.
-type WorkloadScenario = workload.Scenario
-
-// Fig 2 scenarios.
-const (
-	// ScenarioHomogeneous is Fig 2 "homo": 100 identical 5-rep tasks.
-	ScenarioHomogeneous = workload.Homogeneous
-	// ScenarioRepetition is Fig 2 "repe": 3-rep and 5-rep groups.
-	ScenarioRepetition = workload.Repetition
-	// ScenarioHeterogeneous is Fig 2 "heter": difficulty also differs.
-	ScenarioHeterogeneous = workload.Heterogeneous
-)
 
 // SpecsForAllocation materializes a tuned allocation as marketplace task
 // specs ready to post (accuracy is the simulated worker correctness).
