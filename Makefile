@@ -8,7 +8,7 @@ GO ?= go
 # platform variance; raise it as coverage grows, never lower it.
 COVER_MIN ?= 82.4
 
-.PHONY: all build test race bench lint fmt cover cover-check fuzz-smoke linkcheck doccheck docs bench-campaign bench-suite bench-smoke bench-compare bench-scaling
+.PHONY: all build test race bench lint fmt cover cover-check fuzz-smoke linkcheck doccheck perfbench-check docs bench-campaign bench-suite bench-smoke bench-compare bench-scaling
 
 all: lint build test
 
@@ -76,6 +76,13 @@ linkcheck:
 # (pkg.go.dev renders nothing for packages without one).
 doccheck:
 	sh scripts/doccheck.sh
+
+# perfbench-check builds, vets and tests the perfbench module (its own
+# go.mod, so ./... at the root never reaches it): it imports the
+# internal packages, and a change that breaks it would otherwise pass
+# every other target.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # docs mirrors the CI docs job.
 docs: linkcheck doccheck

@@ -81,14 +81,6 @@ func (c *Cluster) AddNode(name, url string) error {
 	return nil
 }
 
-// RemoveNode drops a member and its keyspace.
-func (c *Cluster) RemoveNode(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.nodes, name)
-	c.ring.Remove(name)
-}
-
 // Repoint redirects a node's traffic to a replacement URL — the
 // promoted follower — and marks it healthy again. The ring is
 // untouched: the node's campaigns keep their ids and placement.

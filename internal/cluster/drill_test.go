@@ -287,6 +287,31 @@ func (tw *truncatingWriter) Write(p []byte) (int, error) {
 	return tw.w.Write(p)
 }
 
+// TestCheckHealthStrikesNodeWithFailedWAL: a node whose disk has gone
+// away keeps answering requests from memory, but its healthz reports
+// the lost durability, so CheckHealth marks it unhealthy and the
+// watchdog can promote its replica.
+func TestCheckHealthStrikesNodeWithFailedWAL(t *testing.T) {
+	cl, _, nodes := drillCluster(t, []string{"n0", "n1"}, map[string]func(io.Writer) io.Writer{
+		"n1": func(w io.Writer) io.Writer { return &truncatingWriter{w: w} },
+	})
+	ingest := `{"TaskID": "t1", "Rep": 1, "Price": 1, "PostedAt": 0, "Accepted": 0.5, "Done": 1, "WorkerID": 1, "Correct": true}`
+	for _, n := range nodes {
+		if resp, raw := postDoc(t, n.ts.URL+"/v1/ingest", ingest); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest on %s: status %d: %s", n.name, resp.StatusCode, raw)
+		}
+	}
+	if nodes["n1"].st.Err() == nil {
+		t.Fatal("n1's WAL never failed")
+	}
+	if failed := cl.CheckHealth(context.Background(), nil); len(failed) != 1 || failed[0] != "n1" {
+		t.Fatalf("CheckHealth failed %v, want [n1]", failed)
+	}
+	if got := cl.Healthy(); len(got) != 1 || got[0] != "n0" {
+		t.Fatalf("healthy members %v, want [n0]", got)
+	}
+}
+
 // delayingWriter dawdles before each write so concurrent campaign
 // appends coalesce into real group-commit batches; composed under the
 // truncatingWriter it produces the kill-during-batched-flush drill.

@@ -37,7 +37,7 @@ func (f *fakeFetch) WAL(ctx context.Context, from uint64) ([]byte, error) {
 
 func shipFrames(t *testing.T, recs ...store.Record) []byte {
 	t.Helper()
-	raw, err := EncodeShip(recs)
+	raw, err := store.EncodeFrames(recs)
 	if err != nil {
 		t.Fatal(err)
 	}

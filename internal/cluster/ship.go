@@ -30,19 +30,6 @@ func (e *ShipError) Error() string {
 	return fmt.Sprintf("cluster: shipped WAL breaks contiguity at byte %d: got seq %d, want %d", e.Offset, e.Got, e.Want)
 }
 
-// EncodeShip frames recs in the shipping wire format.
-func EncodeShip(recs []store.Record) ([]byte, error) {
-	var buf []byte
-	var err error
-	for _, rec := range recs {
-		buf, err = store.EncodeRecordFrame(buf, rec)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
 // DecodeShip decodes a shipped run expected to continue after sequence
 // `after`. It returns the decoded records, the byte offset up to which
 // data may be appended verbatim to a replica WAL (every frame below it

@@ -25,7 +25,7 @@ func shipRecords(t *testing.T, n int, from uint64) []store.Record {
 
 func TestShipRoundTrip(t *testing.T) {
 	recs := shipRecords(t, 5, 7)
-	wire, err := EncodeShip(recs)
+	wire, err := store.EncodeFrames(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestShipRoundTrip(t *testing.T) {
 
 func TestShipRejectsGapAndWrongStart(t *testing.T) {
 	recs := shipRecords(t, 3, 10)
-	wire, err := EncodeShip(recs)
+	wire, err := store.EncodeFrames(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestShipRejectsGapAndWrongStart(t *testing.T) {
 		t.Fatalf("wrong start kept %d records to offset %d", len(got), good)
 	}
 	// Gap: drop the middle record.
-	gapped, err := EncodeShip([]store.Record{recs[0], recs[2]})
+	gapped, err := store.EncodeFrames([]store.Record{recs[0], recs[2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestShipRejectsGapAndWrongStart(t *testing.T) {
 }
 
 func TestShipTornTailKeepsPrefix(t *testing.T) {
-	wire, err := EncodeShip(shipRecords(t, 3, 0))
+	wire, err := store.EncodeFrames(shipRecords(t, 3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestShipTornTailKeepsPrefix(t *testing.T) {
 // classified errors only, a good offset that always bounds a clean and
 // idempotently re-decodable prefix, and an encode fixed point.
 func FuzzShipDecode(f *testing.F) {
-	valid, _ := EncodeShip([]store.Record{
+	valid, _ := store.EncodeFrames([]store.Record{
 		{Seq: 1, Type: store.TypeIngest, Data: json.RawMessage(`{"a":1}`)},
 		{Seq: 2, Type: store.TypeFit, Data: json.RawMessage(`{"b":"<&>"}`)},
 	})
@@ -116,7 +116,7 @@ func FuzzShipDecode(f *testing.F) {
 	corrupt := append([]byte(nil), valid...)
 	corrupt[10] ^= 0xff
 	f.Add(corrupt, uint64(0))
-	gapped, _ := EncodeShip([]store.Record{
+	gapped, _ := store.EncodeFrames([]store.Record{
 		{Seq: 1, Type: store.TypeRound, Data: json.RawMessage(`1`)},
 		{Seq: 3, Type: store.TypeRound, Data: json.RawMessage(`2`)},
 	})
@@ -163,7 +163,7 @@ func FuzzShipDecode(f *testing.F) {
 		// encoding is a fixed point: encode(decode(encode(...))) is
 		// byte-stable even where it legally differs from the input
 		// (JSON escaping normalizes after one pass).
-		e1, eerr := EncodeShip(recs)
+		e1, eerr := store.EncodeFrames(recs)
 		if eerr != nil {
 			t.Fatalf("re-encode: %v", eerr)
 		}
@@ -171,7 +171,7 @@ func FuzzShipDecode(f *testing.F) {
 		if err3 != nil || g3 != int64(len(e1)) || len(recs3) != len(recs) {
 			t.Fatalf("re-encoded run decode: %v (%d records to %d of %d)", err3, len(recs3), g3, len(e1))
 		}
-		e2, eerr := EncodeShip(recs3)
+		e2, eerr := store.EncodeFrames(recs3)
 		if eerr != nil || !bytes.Equal(e2, e1) {
 			t.Fatalf("encode not a fixed point (err %v)", eerr)
 		}

@@ -187,7 +187,9 @@ func TestWatchdogRepointFailureSurfaces(t *testing.T) {
 	// event, not a panic or silent success.
 	var events []string
 	wd := NewWatchdog(cl, nil, 1, func(name string) (string, error) {
-		cl.RemoveNode(name)
+		cl.mu.Lock()
+		delete(cl.nodes, name)
+		cl.mu.Unlock()
 		return "http://127.0.0.1:1", nil
 	}, func(format string, args ...any) {
 		events = append(events, fmt.Sprintf(format, args...))

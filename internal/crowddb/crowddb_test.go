@@ -257,31 +257,6 @@ func TestRunFilterSeparatesItems(t *testing.T) {
 	}
 }
 
-func TestRunMaxFindsMaximum(t *testing.T) {
-	ds := Dataset{
-		{ID: "a", Value: 5},
-		{ID: "b", Value: 99},
-		{ID: "c", Value: 40},
-		{ID: "d", Value: 60},
-		{ID: "e", Value: 20},
-	}
-	ex := &Executor{Classes: testClassSet(t), Config: market.Config{Seed: 13}}
-	winner, makespan, rounds, err := ex.RunMax(ds, 5, UniformPrice(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if winner != "b" {
-		t.Errorf("winner %s, want b", winner)
-	}
-	if makespan <= 0 {
-		t.Error("non-positive makespan")
-	}
-	// 5 items: rounds of 2, 1(+bye→2)... must need at least 2 rounds.
-	if len(rounds) < 2 {
-		t.Errorf("got %d rounds, want >= 2", len(rounds))
-	}
-}
-
 func TestRunPlanErrors(t *testing.T) {
 	ex := &Executor{Classes: testClassSet(t), Config: market.Config{Seed: 1}}
 	if _, err := ex.RunPlan(Plan{Label: "empty"}, UniformPrice(1)); err == nil {

@@ -206,49 +206,3 @@ func (e *Executor) RunFilter(items Dataset, threshold float64, reps int, policy 
 	sort.Strings(keep)
 	return keep, out, nil
 }
-
-// RunMax executes the tournament Max query: sequential rounds of pairwise
-// votes, each round run as its own marketplace phase (clock accumulates
-// across rounds). It returns the winner id, the total wall-clock makespan
-// and the per-round outcomes.
-func (e *Executor) RunMax(items Dataset, reps int, policy PricePolicy) (string, float64, []PhaseOutcome, error) {
-	if len(items) == 0 {
-		return "", 0, nil, fmt.Errorf("crowddb: max needs items")
-	}
-	byID := make(map[string]Item, len(items))
-	for _, it := range items {
-		byID[it.ID] = it
-	}
-	survivors := append(Dataset(nil), items...)
-	var outs []PhaseOutcome
-	clock := 0.0
-	round := 0
-	for len(survivors) > 1 {
-		plan, err := PlanMaxRound(survivors, round, reps)
-		if err != nil {
-			return "", 0, nil, err
-		}
-		exec := *e
-		exec.Config.Seed = e.Config.Seed + uint64(round+1)*0x9e3779b9
-		out, err := exec.RunPlan(plan, policy)
-		if err != nil {
-			return "", 0, nil, err
-		}
-		clock += out.Makespan
-		outs = append(outs, out)
-		var next Dataset
-		for _, d := range out.Decisions {
-			winner := d.Task.B
-			if d.Outcome {
-				winner = d.Task.A
-			}
-			next = append(next, byID[winner])
-		}
-		if len(survivors)%2 == 1 {
-			next = append(next, survivors[len(survivors)-1]) // bye
-		}
-		survivors = next
-		round++
-	}
-	return survivors[0].ID, clock, outs, nil
-}

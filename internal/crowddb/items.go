@@ -1,5 +1,5 @@
 // Package crowddb is the crowd-powered database substrate motivating the
-// paper's tuning problem: query operators (sort, filter, max) that a
+// paper's tuning problem: query operators (sort, filter) that a
 // planner decomposes into atomic pairwise/yes-no voting tasks executed by
 // crowd workers on a marketplace (package market), with majority-vote
 // aggregation.

@@ -184,33 +184,6 @@ func PlanFilter(items Dataset, threshold float64, reps int) (Plan, error) {
 	return plan, nil
 }
 
-// PlanMaxRound emits one round of a single-elimination tournament for the
-// crowd Max operator: the given survivors are compared pairwise; an odd
-// survivor gets a bye. The executor builds the next round from the actual
-// majority winners (Executor.RunMax).
-func PlanMaxRound(survivors Dataset, round, reps int) (Plan, error) {
-	if len(survivors) < 2 {
-		return Plan{}, fmt.Errorf("crowddb: a max round needs at least 2 survivors, got %d", len(survivors))
-	}
-	if reps < 1 {
-		return Plan{}, fmt.Errorf("crowddb: reps must be >= 1, got %d", reps)
-	}
-	var plan Plan
-	plan.Label = fmt.Sprintf("max-round-%d", round)
-	for i := 0; i+1 < len(survivors); i += 2 {
-		a, b := survivors[i], survivors[i+1]
-		plan.Tasks = append(plan.Tasks, VoteTask{
-			Kind:  VoteCompare,
-			A:     a.ID,
-			B:     b.ID,
-			Truth: a.Value > b.Value,
-			Diff:  compareDifficulty(a, b),
-			Reps:  reps,
-		})
-	}
-	return plan, nil
-}
-
 // TotalReps returns the number of worker votes the plan requests.
 func (p Plan) TotalReps() int {
 	total := 0

@@ -17,7 +17,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"hputune/internal/textplot"
 )
@@ -104,26 +103,4 @@ func Run(name string, cfg Config) (Result, error) {
 		}
 	}
 	return Result{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
-}
-
-// RunAll executes every registered experiment, returning results keyed by
-// name. It stops at the first failure.
-func RunAll(cfg Config) (map[string]Result, error) {
-	out := make(map[string]Result, len(registry))
-	for _, e := range registry {
-		res, err := e.run(cfg.Normalize())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", e.name, err)
-		}
-		out[e.name] = res
-	}
-	return out, nil
-}
-
-// SortedNames returns the experiment names sorted lexicographically
-// (convenience for deterministic CLI listings).
-func SortedNames() []string {
-	names := Names()
-	sort.Strings(names)
-	return names
 }

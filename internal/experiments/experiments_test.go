@@ -47,12 +47,6 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := Run("nope", fastCfg()); err == nil {
 		t.Error("unknown experiment ran")
 	}
-	sorted := SortedNames()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] < sorted[i-1] {
-			t.Fatal("SortedNames not sorted")
-		}
-	}
 }
 
 func noWarnings(t *testing.T, name string, res Result) {
@@ -237,19 +231,6 @@ func TestLinearityExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	noWarnings(t, "linearity", res)
-}
-
-func TestRunAllFast(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll is slow; skipped with -short")
-	}
-	out, err := RunAll(Config{Seed: 11, Fast: true, Trials: 100, Rounds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(Names()) {
-		t.Errorf("RunAll returned %d results for %d experiments", len(out), len(Names()))
-	}
 }
 
 func TestDeterministicResults(t *testing.T) {

@@ -230,30 +230,6 @@ func TestSimulateJobLatencyParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimulateJobLatencyFloatParallelDeterministic is the uniform-price
-// counterpart of the determinism contract.
-func TestSimulateJobLatencyFloatParallelDeterministic(t *testing.T) {
-	typ := linType("t", 1, 1, 2)
-	groups := []Group{
-		{Type: typ, Tasks: 5, Reps: 2},
-		{Type: typ, Tasks: 2, Reps: 3},
-	}
-	prices := []float64{2.5, 3.5}
-	base, err := SimulateJobLatencyFloatParallel(groups, prices, PhaseOnHold, 4000, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{3, 8} {
-		got, err := SimulateJobLatencyFloatParallel(groups, prices, PhaseOnHold, 4000, 7, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != base {
-			t.Errorf("workers=%d: %v differs from workers=1 result %v", workers, got, base)
-		}
-	}
-}
-
 // TestSimulateParallelErrors covers the argument validation of the
 // parallel simulators.
 func TestSimulateParallelErrors(t *testing.T) {
@@ -265,12 +241,6 @@ func TestSimulateParallelErrors(t *testing.T) {
 	}
 	if _, err := SimulateJobLatencyParallel(p, Allocation{}, PhaseBoth, 10, 1, 2); err == nil {
 		t.Error("empty allocation accepted")
-	}
-	if _, err := SimulateJobLatencyFloatParallel(p.Groups, []float64{1, 2}, PhaseBoth, 10, 1, 2); err == nil {
-		t.Error("mismatched prices accepted")
-	}
-	if _, err := SimulateJobLatencyFloatParallel(p.Groups, []float64{-1}, PhaseBoth, 10, 1, 2); err == nil {
-		t.Error("negative price accepted")
 	}
 }
 

@@ -143,24 +143,6 @@ func (e *Estimator) GroupTotalMean(g Group, price int) (float64, error) {
 	return v, nil
 }
 
-// SumGroupPhase1 returns Σ_i E[Phase-1 latency of group i] for a uniform
-// per-group price vector — the paper's Scenario II surrogate objective
-// (an upper bound on, and monotone proxy for, the true E[max]).
-func (e *Estimator) SumGroupPhase1(groups []Group, prices []int) (float64, error) {
-	if len(groups) != len(prices) {
-		return 0, fmt.Errorf("htuning: %d prices for %d groups", len(prices), len(groups))
-	}
-	sum := numeric.NewKahan()
-	for i, g := range groups {
-		v, err := e.GroupPhase1Mean(g, prices[i])
-		if err != nil {
-			return 0, err
-		}
-		sum.Add(v)
-	}
-	return sum.Sum(), nil
-}
-
 // JobExpectedLatency computes the exact expected completion latency of the
 // whole job under a uniform per-group price vector:
 //
@@ -247,71 +229,6 @@ func powInt(x float64, n int) float64 {
 		n >>= 1
 	}
 	return r
-}
-
-// SimulateJobLatencyFloat estimates E[max over all tasks] by Monte Carlo
-// for uniform per-group prices that may be fractional — the evaluation
-// counterpart of JobExpectedLatencyFloat, used where the analytic
-// two-phase integral would be too slow.
-func SimulateJobLatencyFloat(groups []Group, prices []float64, phase Phase, trials int, r *randx.Rand) (float64, error) {
-	rates, err := uniformRates(groups, prices)
-	if err != nil {
-		return 0, err
-	}
-	if trials < 1 {
-		return 0, fmt.Errorf("htuning: trials must be >= 1, got %d", trials)
-	}
-	if r == nil {
-		return 0, fmt.Errorf("htuning: nil random source")
-	}
-	return simulateUniformTrials(groups, rates, phase, trials, r) / float64(trials), nil
-}
-
-// uniformRates validates a uniform per-group price vector and derives
-// each group's on-hold rate — the shared front half of the serial and
-// parallel uniform-price simulators.
-func uniformRates(groups []Group, prices []float64) ([]float64, error) {
-	if len(groups) != len(prices) {
-		return nil, fmt.Errorf("htuning: %d prices for %d groups", len(prices), len(groups))
-	}
-	rates := make([]float64, len(groups))
-	for i, g := range groups {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-		if !(prices[i] > 0) {
-			return nil, fmt.Errorf("htuning: group %d price %v not positive", i, prices[i])
-		}
-		rates[i] = g.Type.Accept.Rate(prices[i])
-		if !(rates[i] > 0) {
-			return nil, fmt.Errorf("htuning: group %d: non-positive rate %v", i, rates[i])
-		}
-	}
-	return rates, nil
-}
-
-// simulateUniformTrials runs the inner Monte-Carlo loop of
-// SimulateJobLatencyFloat for a validated instance and returns the sum
-// of per-trial job maxima — the shardable core shared by the serial and
-// parallel entry points.
-func simulateUniformTrials(groups []Group, rates []float64, phase Phase, trials int, r *randx.Rand) float64 {
-	sum := numeric.NewKahan()
-	for trial := 0; trial < trials; trial++ {
-		jobMax := 0.0
-		for gi, g := range groups {
-			for ti := 0; ti < g.Tasks; ti++ {
-				latency := r.Erlang(g.Reps, rates[gi])
-				if phase == PhaseBoth {
-					latency += r.Erlang(g.Reps, g.Type.ProcRate)
-				}
-				if latency > jobMax {
-					jobMax = latency
-				}
-			}
-		}
-		sum.Add(jobMax)
-	}
-	return sum.Sum()
 }
 
 // SimulateJobLatency estimates E[max over all tasks of the full latency]

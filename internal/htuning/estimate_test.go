@@ -159,26 +159,6 @@ func TestEstimateErrors(t *testing.T) {
 	if _, err := est.GroupPhase1Mean(bad, 1); err == nil {
 		t.Error("invalid group accepted")
 	}
-	if _, err := est.SumGroupPhase1([]Group{g}, []int{1, 2}); err == nil {
-		t.Error("mismatched prices accepted")
-	}
-}
-
-func TestSumGroupPhase1(t *testing.T) {
-	est := NewEstimator()
-	typ := linType("t", 1, 0, 2)
-	groups := []Group{
-		{Type: typ, Tasks: 1, Reps: 1},
-		{Type: typ, Tasks: 1, Reps: 2},
-	}
-	got, err := est.SumGroupPhase1(groups, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// E1 = 1/1 = 1 (Exp(1)); E2 = 2/2 = 1 (Erlang(2, 2)).
-	if !almostEqual(got, 2, 1e-8) {
-		t.Errorf("sum = %v, want 2", got)
-	}
 }
 
 func TestJobExpectedLatencySingleGroupMatchesGroupMean(t *testing.T) {

@@ -92,32 +92,3 @@ func SimulateJobLatencyParallel(p Problem, a Allocation, phase Phase, trials int
 	}
 	return total.Sum() / float64(trials), nil
 }
-
-// SimulateJobLatencyFloatParallel is the trial-sharded counterpart of
-// SimulateJobLatencyFloat with the same determinism contract as
-// SimulateJobLatencyParallel: the result is a pure function of the
-// arguments, independent of workers.
-func SimulateJobLatencyFloatParallel(groups []Group, prices []float64, phase Phase, trials int, seed uint64, workers int) (float64, error) {
-	rates, err := uniformRates(groups, prices)
-	if err != nil {
-		return 0, err
-	}
-	if trials < 1 {
-		return 0, fmt.Errorf("htuning: trials must be >= 1, got %d", trials)
-	}
-	shards := simShards(trials)
-	streams := shardStreams(seed, len(shards))
-	sums := make([]float64, len(shards))
-	err = parallelEach(len(shards), parallelWorkers(workers), func(i int) error {
-		sums[i] = simulateUniformTrials(groups, rates, phase, shards[i], streams[i])
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := numeric.NewKahan()
-	for _, s := range sums {
-		total.Add(s)
-	}
-	return total.Sum() / float64(trials), nil
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hputune/internal/numeric"
 	"hputune/internal/pricing"
 	"hputune/internal/randx"
 )
@@ -73,11 +74,15 @@ func TestRASolutionInvariantsProperty(t *testing.T) {
 		if spend != res.Spent {
 			return false
 		}
-		obj, err := est.SumGroupPhase1(p.Groups, res.Prices)
-		if err != nil {
-			return false
+		obj := numeric.NewKahan()
+		for i, g := range p.Groups {
+			v, err := est.GroupPhase1Mean(g, res.Prices[i])
+			if err != nil {
+				return false
+			}
+			obj.Add(v)
 		}
-		return almostEqualHT(obj, res.Objective, 1e-9)
+		return almostEqualHT(obj.Sum(), res.Objective, 1e-9)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

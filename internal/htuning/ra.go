@@ -322,61 +322,3 @@ func SolveRepetitionDP(est *Estimator, p Problem) (RepetitionResult, error) {
 	}
 	return RepetitionResult{Prices: prices, Objective: bestV, Spent: bestB}, nil
 }
-
-// EnumerateRepetition brute-forces the Scenario II objective over all
-// feasible uniform price vectors. Exponential; only for tests and tiny
-// instances (it refuses more than maxStates states).
-func EnumerateRepetition(est *Estimator, p Problem, maxStates int) (RepetitionResult, error) {
-	if err := p.Validate(); err != nil {
-		return RepetitionResult{}, err
-	}
-	if est == nil {
-		est = NewEstimator()
-	}
-	n := len(p.Groups)
-	prices := make([]int, n)
-	bestPrices := make([]int, n)
-	bestObj := math.MaxFloat64
-	bestSpent := 0
-	states := 0
-
-	var rec func(i, spent int, acc float64) error
-	rec = func(i, spent int, acc float64) error {
-		if acc >= bestObj {
-			return nil // dominated: E_i > 0 always
-		}
-		if i == n {
-			bestObj = acc
-			copy(bestPrices, prices)
-			bestSpent = spent
-			return nil
-		}
-		g := p.Groups[i]
-		u := g.UnitCost()
-		restMin := 0
-		for j := i + 1; j < n; j++ {
-			restMin += p.Groups[j].UnitCost()
-		}
-		for price := 1; spent+u*price+restMin <= p.Budget; price++ {
-			states++
-			if states > maxStates {
-				return fmt.Errorf("htuning: EnumerateRepetition exceeded %d states", maxStates)
-			}
-			v, err := est.GroupPhase1Mean(g, price)
-			if err != nil {
-				return err
-			}
-			if err := rec(i+1, spent+u*price, acc+v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0, 0, 0); err != nil {
-		return RepetitionResult{}, err
-	}
-	if bestObj == math.MaxFloat64 {
-		return RepetitionResult{}, fmt.Errorf("%w: no feasible allocation", ErrBudgetTooSmall)
-	}
-	return RepetitionResult{Prices: bestPrices, Objective: bestObj, Spent: bestSpent}, nil
-}

@@ -85,48 +85,3 @@ func SaturationScan(est *Estimator, g Group, maxPrice int, frac float64) (Satura
 	}
 	return res, nil
 }
-
-// EffectiveBudget returns the smallest budget at which the job's tuned
-// expected latency is within (1+slack) of its latency at maxBudget — the
-// point past which the paper's finding says further spending is wasted.
-// The solver used is EA for single-group problems and RA otherwise; the
-// search is a linear walk over the budget grid with the given step.
-func EffectiveBudget(est *Estimator, p Problem, maxBudget, step int, slack float64) (int, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if est == nil {
-		est = NewEstimator()
-	}
-	if maxBudget < p.Budget {
-		return 0, fmt.Errorf("htuning: maxBudget %d below problem budget %d", maxBudget, p.Budget)
-	}
-	if step < 1 {
-		return 0, fmt.Errorf("htuning: step must be >= 1, got %d", step)
-	}
-	if !(slack > 0) {
-		return 0, fmt.Errorf("htuning: slack must be positive, got %v", slack)
-	}
-	tuned := func(budget int) (float64, error) {
-		q := Problem{Groups: p.Groups, Budget: budget}
-		res, err := SolveRepetition(est, q)
-		if err != nil {
-			return 0, err
-		}
-		return est.JobExpectedLatency(q.Groups, res.Prices, PhaseBoth)
-	}
-	target, err := tuned(maxBudget)
-	if err != nil {
-		return 0, err
-	}
-	for budget := p.MinBudget(); budget <= maxBudget; budget += step {
-		lat, err := tuned(budget)
-		if err != nil {
-			return 0, err
-		}
-		if lat <= target*(1+slack) {
-			return budget, nil
-		}
-	}
-	return maxBudget, nil
-}

@@ -100,49 +100,3 @@ func TestSaturationScanValidation(t *testing.T) {
 		t.Error("invalid group accepted")
 	}
 }
-
-func TestEffectiveBudgetSensitiveVsInsensitive(t *testing.T) {
-	est := NewEstimator()
-	mk := func(model pricing.RateModel) Problem {
-		return Problem{
-			Groups: []Group{{
-				Type:  &TaskType{Name: "t", Accept: model, ProcRate: 2},
-				Tasks: 20, Reps: 2,
-			}},
-			Budget: 40,
-		}
-	}
-	// Case (b): sensitive — a small budget already achieves near-best.
-	sensitive, err := EffectiveBudget(est, mk(pricing.Linear{K: 10, B: 1}), 2000, 40, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Case (a): moderate — needs meaningfully more budget.
-	moderate, err := EffectiveBudget(est, mk(pricing.Linear{K: 1, B: 1}), 2000, 40, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sensitive >= moderate {
-		t.Errorf("sensitive model effective budget %d not below moderate %d", sensitive, moderate)
-	}
-}
-
-func TestEffectiveBudgetValidation(t *testing.T) {
-	est := NewEstimator()
-	p := Problem{
-		Groups: []Group{{
-			Type:  &TaskType{Name: "t", Accept: pricing.Linear{K: 1, B: 1}, ProcRate: 2},
-			Tasks: 5, Reps: 1,
-		}},
-		Budget: 10,
-	}
-	if _, err := EffectiveBudget(est, p, 5, 5, 0.02); err == nil {
-		t.Error("maxBudget below budget accepted")
-	}
-	if _, err := EffectiveBudget(est, p, 100, 0, 0.02); err == nil {
-		t.Error("zero step accepted")
-	}
-	if _, err := EffectiveBudget(est, p, 100, 5, 0); err == nil {
-		t.Error("zero slack accepted")
-	}
-}

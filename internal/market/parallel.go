@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hputune/internal/conc"
-	"hputune/internal/numeric"
 	"hputune/internal/randx"
 )
 
@@ -29,34 +28,6 @@ func eachRound(rounds, workers int, fn func(round int) error) error {
 		return fmt.Errorf("market: round %d: %w", i, err)
 	}
 	return nil
-}
-
-// RepeatedMakespanParallel is RepeatedMakespan with the rounds fanned
-// across a bounded worker pool (workers <= 0 means GOMAXPROCS). fn must
-// be safe for concurrent calls: each call has to build and drive its own
-// Sim. Round results are combined in round order, so the mean is
-// bit-for-bit the serial RepeatedMakespan of the same fn.
-func RepeatedMakespanParallel(rounds, workers int, fn func(round int) (float64, error)) (float64, error) {
-	if rounds < 1 {
-		return 0, fmt.Errorf("market: rounds must be >= 1, got %d", rounds)
-	}
-	spans := make([]float64, rounds)
-	err := eachRound(rounds, workers, func(i int) error {
-		v, ferr := fn(i)
-		if ferr != nil {
-			return ferr
-		}
-		spans[i] = v
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	acc := numeric.NewKahan()
-	for _, v := range spans {
-		acc.Add(v)
-	}
-	return acc.Sum() / float64(rounds), nil
 }
 
 // simBuffers recycles Sim backing storage across replication rounds.

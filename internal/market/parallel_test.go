@@ -20,36 +20,6 @@ func parallelTestSpecs() (*TaskClass, []TaskSpec) {
 	return class, specs
 }
 
-func TestRepeatedMakespanParallelMatchesSerial(t *testing.T) {
-	_, specs := parallelTestSpecs()
-	fn := func(round int) (float64, error) {
-		sim, err := New(Config{Seed: roundSeed(9, round)})
-		if err != nil {
-			return 0, err
-		}
-		if err := sim.PostAll(specs); err != nil {
-			return 0, err
-		}
-		if _, err := sim.Run(); err != nil {
-			return 0, err
-		}
-		return sim.Makespan(), nil
-	}
-	serial, err := RepeatedMakespan(16, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 0} {
-		got, err := RepeatedMakespanParallel(16, workers, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != serial {
-			t.Errorf("workers=%d: %v differs from serial %v", workers, got, serial)
-		}
-	}
-}
-
 func TestReplicatedMakespansDeterministic(t *testing.T) {
 	_, specs := parallelTestSpecs()
 	cfg := Config{Seed: 11}
@@ -87,8 +57,5 @@ func TestReplicatedMakespansErrors(t *testing.T) {
 	}
 	if _, err := ReplicatedMakespans(Config{}, nil, 3, 1); err == nil {
 		t.Error("empty specs accepted")
-	}
-	if _, err := RepeatedMakespanParallel(0, 1, nil); err == nil {
-		t.Error("zero rounds accepted")
 	}
 }

@@ -41,19 +41,3 @@ func Mean(xs []float64) float64 {
 	}
 	return SumSlice(xs) / float64(len(xs))
 }
-
-// Variance returns the unbiased sample variance of xs, or 0 when fewer
-// than two observations are available.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	k := NewKahan()
-	for _, x := range xs {
-		d := x - m
-		k.Add(d * d)
-	}
-	return k.Sum() / float64(n-1)
-}

@@ -41,18 +41,6 @@ func TestSumSliceAndMean(t *testing.T) {
 	}
 }
 
-func TestVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Population variance is 4; sample variance is 32/7.
-	want := 32.0 / 7
-	if v := Variance(xs); math.Abs(v-want) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", v, want)
-	}
-	if v := Variance([]float64{3}); v != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", v)
-	}
-}
-
 func TestBisect(t *testing.T) {
 	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
 	if err != nil {
@@ -68,25 +56,6 @@ func TestBisect(t *testing.T) {
 	if r, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-9); err != nil || r != 0 {
 		t.Errorf("endpoint root = %v, %v", r, err)
 	}
-}
-
-func TestMinimizeGolden(t *testing.T) {
-	x, fx := MinimizeGolden(func(x float64) float64 { return (x - 3) * (x - 3) }, 0, 10, 1e-10)
-	if math.Abs(x-3) > 1e-8 || fx > 1e-15 {
-		t.Errorf("argmin = %v (f=%v), want 3 (0)", x, fx)
-	}
-}
-
-func TestArgminInt(t *testing.T) {
-	if i := ArgminInt([]float64{3, 1, 2, 1}); i != 1 {
-		t.Errorf("ArgminInt = %d, want 1 (first minimum)", i)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on empty slice")
-		}
-	}()
-	ArgminInt(nil)
 }
 
 func TestFitLinearRecoversLine(t *testing.T) {

@@ -1,9 +1,6 @@
 package numeric
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Bisect finds a root of f in [a, b] where f(a) and f(b) have opposite
 // signs, to absolute x-tolerance tol.
@@ -35,50 +32,4 @@ func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 	}
 	_ = fb
 	return a + (b-a)/2, ErrNoConverge
-}
-
-// invPhi is the reciprocal golden ratio used by golden-section search.
-var invPhi = (math.Sqrt(5) - 1) / 2
-
-// MinimizeGolden locates the minimizer of a unimodal f on [a, b] by
-// golden-section search to x-tolerance tol, returning (argmin, min).
-func MinimizeGolden(f func(float64) float64, a, b, tol float64) (x, fx float64) {
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	if a > b {
-		a, b = b, a
-	}
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	m := (a + b) / 2
-	return m, f(m)
-}
-
-// ArgminInt returns the index of the smallest value in xs, breaking ties
-// toward the lowest index. It panics on an empty slice: callers own the
-// non-empty invariant.
-func ArgminInt(xs []float64) int {
-	if len(xs) == 0 {
-		panic("numeric: ArgminInt on empty slice")
-	}
-	best := 0
-	for i, v := range xs {
-		if v < xs[best] {
-			best = i
-		}
-	}
-	return best
 }

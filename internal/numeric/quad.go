@@ -161,78 +161,3 @@ func IntegrateToInf(f func(float64) float64, a, tol float64) (float64, error) {
 	}
 	return sum.Sum(), firstErr
 }
-
-// GaussLegendre integrates f over [a, b] with an n-point Gauss–Legendre
-// rule. It is non-adaptive and therefore fast and allocation-free for
-// smooth integrands; n must be one of the tabulated orders (5, 10, 20).
-func GaussLegendre(f func(float64) float64, a, b float64, n int) (float64, error) {
-	nodes, weights, err := glRule(n)
-	if err != nil {
-		return 0, err
-	}
-	c := (b - a) / 2
-	d := (b + a) / 2
-	sum := NewKahan()
-	for i, x := range nodes {
-		sum.Add(weights[i] * f(c*x+d))
-	}
-	return c * sum.Sum(), nil
-}
-
-// glRule returns the nodes and weights of the n-point Gauss–Legendre rule
-// on [-1, 1]. Values are precomputed to 16 significant digits.
-func glRule(n int) (nodes, weights []float64, err error) {
-	switch n {
-	case 5:
-		return gl5Nodes[:], gl5Weights[:], nil
-	case 10:
-		return gl10Nodes[:], gl10Weights[:], nil
-	case 20:
-		return gl20Nodes[:], gl20Weights[:], nil
-	}
-	return nil, nil, fmt.Errorf("numeric: GaussLegendre: unsupported order %d (want 5, 10 or 20)", n)
-}
-
-var gl5Nodes = [5]float64{
-	-0.9061798459386640, -0.5384693101056831, 0,
-	0.5384693101056831, 0.9061798459386640,
-}
-
-var gl5Weights = [5]float64{
-	0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-	0.4786286704993665, 0.2369268850561891,
-}
-
-var gl10Nodes = [10]float64{
-	-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
-	-0.4333953941292472, -0.1488743389816312, 0.1488743389816312,
-	0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
-	0.9739065285171717,
-}
-
-var gl10Weights = [10]float64{
-	0.0666713443086881, 0.1494513491505806, 0.2190863625159820,
-	0.2692667193099963, 0.2955242247147529, 0.2955242247147529,
-	0.2692667193099963, 0.2190863625159820, 0.1494513491505806,
-	0.0666713443086881,
-}
-
-var gl20Nodes = [20]float64{
-	-0.9931285991850949, -0.9639719272779138, -0.9122344282513259,
-	-0.8391169718222188, -0.7463319064601508, -0.6360536807265150,
-	-0.5108670019508271, -0.3737060887154196, -0.2277858511416451,
-	-0.0765265211334973, 0.0765265211334973, 0.2277858511416451,
-	0.3737060887154196, 0.5108670019508271, 0.6360536807265150,
-	0.7463319064601508, 0.8391169718222188, 0.9122344282513259,
-	0.9639719272779138, 0.9931285991850949,
-}
-
-var gl20Weights = [20]float64{
-	0.0176140071391521, 0.0406014298003869, 0.0626720483341091,
-	0.0832767415767048, 0.1019301198172404, 0.1181945319615184,
-	0.1316886384491766, 0.1420961093183820, 0.1491729864726037,
-	0.1527533871307258, 0.1527533871307258, 0.1491729864726037,
-	0.1420961093183820, 0.1316886384491766, 0.1181945319615184,
-	0.1019301198172404, 0.0832767415767048, 0.0626720483341091,
-	0.0406014298003869, 0.0176140071391521,
-}

@@ -105,37 +105,6 @@ func TestIntegrateToInfSurvival(t *testing.T) {
 	}
 }
 
-func TestGaussLegendreOrders(t *testing.T) {
-	f := func(x float64) float64 { return math.Exp(x) }
-	want := math.E - 1
-	for _, n := range []int{5, 10, 20} {
-		v, err := GaussLegendre(f, 0, 1, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !almostEqual(v, want, 1e-10) {
-			t.Errorf("GL%d ∫e^x = %v, want %v", n, v, want)
-		}
-	}
-}
-
-func TestGaussLegendreUnsupportedOrder(t *testing.T) {
-	if _, err := GaussLegendre(math.Exp, 0, 1, 7); err == nil {
-		t.Error("expected error for unsupported order")
-	}
-}
-
-func TestGaussLegendreExactForPolynomials(t *testing.T) {
-	// n-point GL is exact for degree <= 2n-1: x^9 with n=5.
-	v, err := GaussLegendre(func(x float64) float64 { return math.Pow(x, 9) }, 0, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 0.1, 1e-12) {
-		t.Errorf("GL5 ∫x⁹ = %v, want 0.1", v)
-	}
-}
-
 func TestIntegrateLinearityProperty(t *testing.T) {
 	// Property: ∫(a·f) = a·∫f for random scale factors and quadratics.
 	prop := func(scale float64, c0, c1, c2 float64) bool {

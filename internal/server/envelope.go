@@ -35,6 +35,10 @@ const (
 	// snapshot (410 on /v1/replication/wal); refetch the full state from
 	// /v1/replication/state and resume shipping from its sequence.
 	CodeCompacted = "compacted"
+	// CodeDurabilityLost: the node's WAL has failed and it can no
+	// longer journal (503 on /v1/healthz); its replica, not this node,
+	// holds the acknowledged history.
+	CodeDurabilityLost = "durability_lost"
 	// CodeInternal: an unexpected server-side failure (5xx fallback).
 	CodeInternal = "internal"
 )

@@ -11,6 +11,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -170,6 +173,79 @@ func (tw *truncatingWriter) Write(p []byte) (int, error) {
 	}
 	tw.budget -= len(p)
 	return tw.w.Write(p)
+}
+
+// dyingDiskWriter delegates until broken is set, then fails every write
+// with EIO, as a disk that has gone away does.
+type dyingDiskWriter struct {
+	w      io.Writer
+	broken *atomic.Bool
+}
+
+func (dw *dyingDiskWriter) Write(p []byte) (int, error) {
+	if dw.broken.Load() {
+		return 0, syscall.EIO
+	}
+	return dw.w.Write(p)
+}
+
+// TestHealthzReportsDurabilityLost pins the health contract the cluster
+// watchdog relies on: a store-backed node answers 200 while it can
+// journal and 503 durability_lost once its WAL has sticky-failed, while
+// its reads keep serving.
+func TestHealthzReportsDurabilityLost(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		diskDies bool
+		want     int
+	}{
+		{"journaling", false, http.StatusOK},
+		{"wal-failed", true, http.StatusServiceUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var broken atomic.Bool
+			st, _, ts := recoverTestServer(t, t.TempDir(), store.Options{
+				WrapWAL: func(w io.Writer) io.Writer { return &dyingDiskWriter{w: w, broken: &broken} },
+			})
+			if resp, raw := postJSON(t, ts.URL+"/v1/ingest", ingestBody(t, []int{1, 2, 4}, 20)); resp.StatusCode != 200 {
+				t.Fatalf("first ingest: status %d: %s", resp.StatusCode, raw)
+			}
+			if tc.diskDies {
+				broken.Store(true)
+				// Ingest still acknowledges from memory; its journal
+				// append is what trips the sticky failure.
+				postJSON(t, ts.URL+"/v1/ingest", ingestBody(t, []int{3, 6}, 20))
+				if st.Err() == nil {
+					t.Fatal("WAL never failed")
+				}
+			}
+			resp, err := http.Get(ts.URL + "/v1/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("healthz status %d, want %d: %s", resp.StatusCode, tc.want, raw)
+			}
+			if tc.diskDies {
+				var env ErrorEnvelope
+				if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != CodeDurabilityLost {
+					t.Fatalf("healthz body %s (%v), want code %s", raw, err, CodeDurabilityLost)
+				}
+				if !strings.Contains(env.Error.Message, syscall.EIO.Error()) {
+					t.Errorf("healthz message %q does not carry the WAL error", env.Error.Message)
+				}
+			}
+			// Reads keep serving whatever the disk does.
+			if resp, raw := postJSON(t, ts.URL+"/v1/solve", specJSON(1)); resp.StatusCode != 200 {
+				t.Errorf("solve after healthz: status %d: %s", resp.StatusCode, raw)
+			}
+			if stats := getStats(t, ts.URL); stats.Serve.IngestedRecords == 0 {
+				t.Error("stats lost the acknowledged ingests")
+			}
+		})
+	}
 }
 
 // TestCrashRecoveryResumesByteIdentical is the crash-recovery suite:

@@ -96,13 +96,10 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "read WAL tail: %v", err)
 		return
 	}
-	var buf []byte
-	for _, rec := range recs {
-		buf, err = store.EncodeRecordFrame(buf, rec)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "encode record %d: %v", rec.Seq, err)
-			return
-		}
+	buf, err := store.EncodeFrames(recs)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	last := from
 	if n := len(recs); n > 0 {

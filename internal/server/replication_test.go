@@ -73,9 +73,16 @@ func TestReplicationEndpointsServeDurableTail(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-	recs, err := store.DecodeAll(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("decode shipped frames: %v", err)
+	var recs []store.Record
+	for d := store.NewReader(bytes.NewReader(raw)); ; {
+		rec, err := d.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("decode shipped frames: %v", err)
+		}
+		recs = append(recs, rec)
 	}
 	if len(recs) == 0 {
 		t.Fatal("no records shipped after a full fleet")

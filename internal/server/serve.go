@@ -11,19 +11,11 @@ import (
 // drainTimeout bounds how long Shutdown waits for in-flight requests.
 const drainTimeout = 15 * time.Second
 
-// ListenAndServe serves the API on addr until ctx is cancelled, then
-// shuts down gracefully: the listener closes immediately, in-flight
-// requests get up to drainTimeout to finish, and the remainder are cut
-// off. A clean drain returns nil.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.serve(ctx, ln)
-}
-
-func (s *Server) serve(ctx context.Context, ln net.Listener) error {
+// Serve serves the API on ln until ctx is cancelled, then shuts down
+// gracefully: the listener closes immediately, in-flight requests get
+// up to drainTimeout to finish, and the remainder are cut off. A clean
+// drain returns nil.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -66,10 +58,4 @@ func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 		}
 		return nil
 	}
-}
-
-// Serve is ListenAndServe over an existing listener (tests listen on
-// ":0" and read ln.Addr() themselves).
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	return s.serve(ctx, ln)
 }

@@ -265,9 +265,7 @@ func New(cfg Config) (*Server, error) {
 	handle("DELETE /v1/campaigns/{id}", s.handleCampaignCancel)
 	handle("GET /v1/stats", s.handleStats)
 	handle("GET /v1/metrics", s.handleMetrics)
-	handle("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	handle("GET /v1/healthz", s.handleHealthz)
 	handle("GET /v1/replication/state", s.handleReplicationState)
 	handle("GET /v1/replication/wal", s.handleReplicationWAL)
 	handle("GET /v1/replication/aggregates", s.handleReplicationAggregates)
@@ -817,6 +815,21 @@ func (s *Server) serveStats() ServeStats {
 		MaxInFlight:     s.gate.Limit(),
 		Workers:         engine.Options{Workers: s.cfg.Workers}.ResolvedWorkers(),
 	}
+}
+
+// handleHealthz answers 200 while the node can journal. Once the WAL
+// has sticky-failed, every write the node still acknowledges from
+// memory is lost on restart, so it answers 503 durability_lost: the
+// cluster watchdog strikes the node and promotes its replica. Reads
+// keep serving.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if s.st != nil {
+		if err := s.st.Err(); err != nil {
+			writeEnvelope(w, http.StatusServiceUnavailable, CodeDurabilityLost, 0, "WAL failed: %v", err)
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

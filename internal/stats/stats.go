@@ -1,8 +1,8 @@
 // Package stats provides the statistical validation substrate for the
 // reproduction of "Tuning Crowdsourced Human Computation" (Cao et al.,
-// ICDE 2017): empirical CDFs, goodness-of-fit tests for the exponential
-// latency model the paper assumes (Sec 3.1–3.2), and exact confidence
-// intervals for the clock-rate MLE λ̂ = N/T₀ (Sec 3.3, Appendix A).
+// ICDE 2017): goodness-of-fit tests for the exponential latency model
+// the paper assumes (Sec 3.1–3.2), and exact confidence intervals for
+// the clock-rate MLE λ̂ = N/T₀ (Sec 3.3, Appendix A).
 //
 // The paper justifies its model empirically ("the arrival epochs of the
 // workers exhibit linearity, indicating the suitability of the Poisson
@@ -17,67 +17,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"hputune/internal/numeric"
 )
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N        int
-	Mean     float64
-	Variance float64 // unbiased (n−1 denominator)
-	Std      float64
-	Min      float64
-	Max      float64
-	Median   float64
-	Q25, Q75 float64
-}
-
-// Summarize computes descriptive statistics. It returns an error for an
-// empty sample or one containing NaN.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, fmt.Errorf("stats: empty sample")
-	}
-	for i, x := range xs {
-		if math.IsNaN(x) {
-			return Summary{}, fmt.Errorf("stats: NaN at index %d", i)
-		}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s := Summary{
-		N:        len(xs),
-		Mean:     numeric.Mean(xs),
-		Variance: numeric.Variance(xs),
-		Min:      sorted[0],
-		Max:      sorted[len(sorted)-1],
-		Median:   quantileSorted(sorted, 0.5),
-		Q25:      quantileSorted(sorted, 0.25),
-		Q75:      quantileSorted(sorted, 0.75),
-	}
-	s.Std = math.Sqrt(s.Variance)
-	return s, nil
-}
-
-// quantileSorted returns the q-quantile of a sorted sample by linear
-// interpolation between closest ranks (type-7, the R default).
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	h := q * float64(n-1)
-	lo := int(math.Floor(h))
-	hi := lo + 1
-	if hi >= n {
-		return sorted[n-1]
-	}
-	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of an unsorted sample.
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) of an unsorted sample,
+// interpolating linearly between closest ranks (type-7, the R default).
 func Quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("stats: empty sample")
@@ -87,5 +30,11 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
+	h := q * float64(len(sorted)-1)
+	lo := int(math.Floor(h))
+	if lo+1 >= len(sorted) {
+		return sorted[len(sorted)-1], nil
+	}
+	frac := h - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac, nil
 }

@@ -13,41 +13,6 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
-func TestSummarizeBasics(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("summary wrong: %+v", s)
-	}
-	if !almostEqual(s.Variance, 2.5, 1e-12) {
-		t.Errorf("variance %v, want 2.5", s.Variance)
-	}
-	if !almostEqual(s.Q25, 2, 1e-12) || !almostEqual(s.Q75, 4, 1e-12) {
-		t.Errorf("quartiles %v/%v, want 2/4", s.Q25, s.Q75)
-	}
-}
-
-func TestSummarizeErrors(t *testing.T) {
-	if _, err := Summarize(nil); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if _, err := Summarize([]float64{1, math.NaN()}); err == nil {
-		t.Error("NaN accepted")
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s, err := Summarize([]float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 7 || s.Median != 7 || s.Min != 7 || s.Max != 7 {
-		t.Errorf("single-sample summary wrong: %+v", s)
-	}
-}
-
 func TestQuantileBounds(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	if v, err := Quantile(xs, 0); err != nil || v != 1 {
@@ -81,57 +46,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		return err1 == nil && err2 == nil && va <= vb+1e-12
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestECDFEval(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ t, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {4, 1},
-	}
-	for _, c := range cases {
-		if got := e.Eval(c.t); got != c.want {
-			t.Errorf("F̂(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-	if e.N() != 4 {
-		t.Errorf("N = %d, want 4", e.N())
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	if _, err := NewECDF(nil); err == nil {
-		t.Error("empty sample accepted")
-	}
-}
-
-func TestECDFMatchesSortedCountProperty(t *testing.T) {
-	r := randx.New(97)
-	prop := func(seed uint64) bool {
-		rr := randx.New(seed)
-		n := 1 + rr.Intn(50)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = math.Floor(rr.Float64()*10) / 2 // ties likely
-		}
-		e, err := NewECDF(xs)
-		if err != nil {
-			return false
-		}
-		t := r.Float64() * 5
-		count := 0
-		for _, x := range xs {
-			if x <= t {
-				count++
-			}
-		}
-		return e.Eval(t) == float64(count)/float64(n)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -120,6 +121,33 @@ func TestEncodeRecordFrameRoundTrips(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("re-encoded frames decode to %+v, want %+v", got, recs)
+	}
+}
+
+// TestEncodeFramesMatchesWALBytes pins the shipping contract: the
+// frames of a durable tail are byte-identical to what wal.log holds,
+// so a follower can append them verbatim to its replica WAL.
+func TestEncodeFramesMatchesWALBytes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	seedActivity(t, st)
+	got, err := EncodeFrames(tailOf(t, st, 0))
+	if err != nil {
+		t.Fatalf("EncodeFrames: %v", err)
+	}
+	want, err := os.ReadFile(WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoded tail (%d bytes) differs from wal.log (%d bytes)", len(got), len(want))
+	}
+	if _, err := EncodeFrames([]Record{{Seq: 9, Type: TypeIngest, Data: []byte("{")}}); err == nil {
+		t.Fatal("a record with invalid JSON data encoded")
 	}
 }
 

@@ -114,6 +114,20 @@ func EncodeRecordFrame(buf []byte, rec Record) ([]byte, error) {
 	return appendFrame(buf, payload), nil
 }
 
+// EncodeFrames frames recs back to back in the WAL's on-disk format:
+// the body of a WAL-shipping reply, byte-identical to what wal.log
+// holds for those records.
+func EncodeFrames(recs []Record) ([]byte, error) {
+	var buf []byte
+	for _, rec := range recs {
+		var err error
+		if buf, err = EncodeRecordFrame(buf, rec); err != nil {
+			return nil, fmt.Errorf("store: encode record %d: %w", rec.Seq, err)
+		}
+	}
+	return buf, nil
+}
+
 // appendFrame appends one framed payload to buf and returns it.
 func appendFrame(buf, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte
@@ -208,23 +222,4 @@ func (d *Reader) next() (Record, error) {
 	d.lastSeq, d.hasSeq = rec.Seq, true
 	d.offset += int64(frameHeaderSize) + int64(length)
 	return rec, nil
-}
-
-// DecodeAll decodes every record in r. The returned error is nil at a
-// clean end, a *TailError when the final frame is torn (the returned
-// records are still the valid prefix), a *CorruptError, or — when the
-// underlying reader itself fails — that read error verbatim.
-func DecodeAll(r io.Reader) ([]Record, error) {
-	d := NewReader(r)
-	var recs []Record
-	for {
-		rec, err := d.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
 }

@@ -10,6 +10,25 @@ import (
 	"testing"
 )
 
+// DecodeAll decodes every record in r. The returned error is nil at a
+// clean end, a *TailError when the final frame is torn (the returned
+// records are still the valid prefix), a *CorruptError, or — when the
+// underlying reader itself fails — that read error verbatim.
+func DecodeAll(r io.Reader) ([]Record, error) {
+	d := NewReader(r)
+	var recs []Record
+	for {
+		rec, err := d.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
 // encodeRecords frames a sequence of records the way the store does.
 func encodeRecords(t *testing.T, recs ...Record) []byte {
 	t.Helper()
