@@ -113,9 +113,10 @@ func main() {
 			SnapshotEvery:     *snapshotEvery,
 			GroupCommitWindow: *groupCommit,
 			OnError: func(err error) {
-				// Sticky: the store is read-only from here on; the process
-				// keeps serving from memory so live traffic survives a bad
-				// disk, but a restart loses everything since this point.
+				// Sticky: the store is read-only from here on. Ingest and
+				// fit publishes answer 503; reads and running campaigns
+				// keep serving from memory, and a restart loses campaign
+				// progress since this point.
 				log.Printf("state: durability lost: %v", err)
 			},
 		})

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 
@@ -259,15 +260,6 @@ func (s Status) Terminal() bool {
 // completed round. Any other cancellation cause is a real cancel.
 var ErrSuspended = errors.New("campaign: suspended for shutdown")
 
-// FitInfo describes one published price→rate fit.
-type FitInfo struct {
-	Slope     float64 `json:"slope"`
-	Intercept float64 `json:"intercept"`
-	R2        float64 `json:"r2"`
-	// Prices is how many distinct price levels back the fit.
-	Prices int `json:"prices"`
-}
-
 // RoundSnapshot records one completed round of the loop.
 type RoundSnapshot struct {
 	Round int `json:"round"`
@@ -289,9 +281,9 @@ type RoundSnapshot struct {
 	// if one was; FitPending explains why none was (the previous belief
 	// stays live). FitDelta is the relative parameter change against the
 	// previously published fit (0 for the first fit).
-	Fit        *FitInfo `json:"fit,omitempty"`
-	FitPending string   `json:"fitPending,omitempty"`
-	FitDelta   float64  `json:"fitDelta"`
+	Fit        *inference.FitInfo `json:"fit,omitempty"`
+	FitPending string             `json:"fitPending,omitempty"`
+	FitDelta   float64            `json:"fitDelta"`
 	// Query is the round's crowd-query outcome (crowd-query campaigns).
 	Query *QueryInfo `json:"query,omitempty"`
 	// SLO is the round's deadline-SLO accounting (deadline campaigns).
@@ -318,7 +310,7 @@ type Result struct {
 	// Converged reports whether the loop reached its fixed point.
 	Converged bool `json:"converged"`
 	// Fit is the currently published belief, if any.
-	Fit *FitInfo `json:"fit,omitempty"`
+	Fit *inference.FitInfo `json:"fit,omitempty"`
 	// TotalMakespan sums the realized round makespans.
 	TotalMakespan float64 `json:"totalMakespan"`
 }
@@ -353,7 +345,7 @@ type Checkpoint struct {
 	// Fit is the currently published belief, if any (the model is
 	// rebuilt from it as Floored{Linear{Slope, Intercept}}, exactly how
 	// fold constructed it).
-	Fit *FitInfo `json:"fit,omitempty"`
+	Fit *inference.FitInfo `json:"fit,omitempty"`
 }
 
 // Journal receives a campaign's durable-state events — the hook the
@@ -383,12 +375,6 @@ type ManagerJournal interface {
 	Evicted(id string, chk Checkpoint, rounds []RoundSnapshot)
 }
 
-// fitRecord is one published fit with the model solvers price against.
-type fitRecord struct {
-	info  FitInfo
-	model pricing.RateModel
-}
-
 // Campaign is one closed loop in flight. Create with New, drive with
 // Run; Snapshot is safe to call concurrently with Run (the Manager's
 // inspection path).
@@ -411,12 +397,12 @@ type Campaign struct {
 	spent         int
 	remaining     int
 	converged     bool
-	fit           *fitRecord
+	fit           *inference.FitInfo // the published fit; nil while the prior prices
 	totalMakespan float64
 
-	// aggs is the O(#price levels) sufficient statistic of every
-	// observation ever folded — the campaign's cumulative belief state.
-	aggs map[int]inference.PriceAggregate
+	// belief holds the O(#price levels) sufficient statistic of every
+	// observation ever folded.
+	belief inference.Belief
 
 	// probGroups and probTypes back roundProblem's per-round H-Tuning
 	// instance. Rounds run sequentially on the Run goroutine and the
@@ -469,7 +455,6 @@ func New(est *htuning.Estimator, cfg Config) (*Campaign, error) {
 		exec:      exec,
 		status:    StatusPending,
 		remaining: cfg.Budget,
-		aggs:      make(map[int]inference.PriceAggregate),
 	}, nil
 }
 
@@ -490,7 +475,7 @@ func (c *Campaign) Snapshot() Result {
 		TotalMakespan: c.totalMakespan,
 	}
 	if c.fit != nil {
-		info := c.fit.info
+		info := *c.fit
 		res.Fit = &info
 	}
 	return res
@@ -534,15 +519,10 @@ func (c *Campaign) Checkpoint() Checkpoint {
 		Spent:         c.spent,
 		Remaining:     c.remaining,
 		TotalMakespan: c.totalMakespan,
-	}
-	if len(c.aggs) > 0 {
-		chk.Aggs = make(map[int]inference.PriceAggregate, len(c.aggs))
-		for price, agg := range c.aggs {
-			chk.Aggs[price] = agg
-		}
+		Aggs:          maps.Clone(c.belief),
 	}
 	if c.fit != nil {
-		info := c.fit.info
+		info := *c.fit
 		chk.Fit = &info
 	}
 	return chk
@@ -592,6 +572,9 @@ func (c *Campaign) Restore(chk Checkpoint, rounds []RoundSnapshot) error {
 		return fmt.Errorf("campaign: checkpoint accounting (spent %d + remaining %d) does not match the configured budget %d",
 			chk.Spent, chk.Remaining, c.cfg.Budget)
 	}
+	if err := c.belief.Merge(chk.Aggs); err != nil {
+		return fmt.Errorf("campaign: checkpoint aggregates: %w", err)
+	}
 	c.status = status
 	c.reason = chk.Reason
 	c.converged = status == StatusConverged
@@ -601,28 +584,20 @@ func (c *Campaign) Restore(chk Checkpoint, rounds []RoundSnapshot) error {
 	c.remaining = chk.Remaining
 	c.totalMakespan = chk.TotalMakespan
 	c.rounds = append(c.rounds[:0], rounds...)
-	for price, agg := range chk.Aggs {
-		c.aggs[price] = agg
-	}
 	if chk.Fit != nil {
 		info := *chk.Fit
-		// Exactly how fold publishes: the contract-checked linear fit
-		// behind the positive floor.
-		c.fit = &fitRecord{
-			info:  info,
-			model: pricing.Floored{Base: pricing.Linear{K: info.Slope, B: info.Intercept}},
-		}
+		c.fit = &info
 	}
 	return nil
 }
 
-// belief returns the model the next round prices with: the published
-// fit when one exists, the prior otherwise.
-func (c *Campaign) belief() pricing.RateModel {
+// model returns the model the next round prices with: the published
+// fit behind the positive floor when one exists, the prior otherwise.
+func (c *Campaign) model() pricing.RateModel {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.fit != nil {
-		return c.fit.model
+		return pricing.Floored{Base: c.fit.Model()}
 	}
 	return c.cfg.Prior
 }
@@ -715,7 +690,7 @@ func (c *Campaign) roundProblem(belief pricing.RateModel, budget int) htuning.Pr
 
 // fitDelta returns the relative parameter change between fits:
 // (|Δslope| + |Δintercept|) scaled by the old parameter magnitude.
-func fitDelta(old, new FitInfo) float64 {
+func fitDelta(old, new inference.FitInfo) float64 {
 	num := math.Abs(new.Slope-old.Slope) + math.Abs(new.Intercept-old.Intercept)
 	den := math.Abs(old.Slope) + math.Abs(old.Intercept)
 	if den == 0 {
@@ -731,40 +706,26 @@ func fitDelta(old, new FitInfo) float64 {
 // aggregates and attempts to publish a re-fitted model. It returns the
 // publish outcome for the round snapshot; first reports that the publish
 // had no predecessor (its delta is undefined). Caller holds no locks.
-func (c *Campaign) fold(records []market.RepRecord) (published *FitInfo, pending string, delta float64, first bool) {
+func (c *Campaign) fold(records []market.RepRecord) (published *inference.FitInfo, pending string, delta float64, first bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, rec := range records {
-		d := rec.OnHold()
-		// The simulator only emits finite non-negative durations; a
-		// custom Executor might not, and one +Inf would zero the price's
-		// MLE rate forever in the add-only aggregate.
-		if rec.Price < 1 || !(d >= 0) || math.IsInf(d, 1) {
-			continue
-		}
-		agg := c.aggs[rec.Price]
-		agg.Add(1, d)
-		c.aggs[rec.Price] = agg
+		// The simulator only emits records the filter keeps; a custom
+		// Executor might not, and its bad records are dropped.
+		_ = c.belief.Observe(rec)
 	}
-	res, err := inference.FitAggregates(c.aggs)
-	if err != nil {
-		// No usable fit yet (e.g. observations at one price level): the
-		// previous belief stays live.
-		return nil, err.Error(), 0, false
+	cand, pending := c.belief.Fit()
+	if pending != "" {
+		// No usable fit yet, or one the guard refused: the previous
+		// belief stays live.
+		return nil, pending, 0, false
 	}
-	model := pricing.Linear{K: res.Fit.Slope, B: res.Fit.Intercept}
-	if res.Fit.Slope < 0 || !(model.Rate(1) > 0) {
-		// A drifted or noisy trace can least-squares into a decreasing or
-		// non-positive rate line, violating the contract every solver
-		// assumes. Keep the previous belief live rather than publish it.
-		return nil, fmt.Sprintf("fit %s violates the rate-model contract (need slope >= 0 and a positive rate at price 1); keeping the previous belief", res.Fit), 0, false
-	}
-	info := FitInfo{Slope: res.Fit.Slope, Intercept: res.Fit.Intercept, R2: res.Fit.R2, Prices: len(res.Prices)}
+	info := cand.Info()
 	first = c.fit == nil
 	if !first {
-		delta = fitDelta(c.fit.info, info)
+		delta = fitDelta(*c.fit, info)
 	}
-	c.fit = &fitRecord{info: info, model: pricing.Floored{Base: model}}
+	c.fit = &info
 	out := info
 	return &out, "", delta, first
 }
@@ -846,7 +807,7 @@ func (c *Campaign) Run(ctx context.Context) (Result, error) {
 		// campaign first runs the [29] comparator as its SLO admission
 		// check — a belief under which no price meets the SLO stops the
 		// loop before it spends a round that cannot succeed.
-		belief := c.belief()
+		belief := c.model()
 		var slo *SLOInfo
 		if c.cfg.Deadline != nil {
 			var admitErr error

@@ -279,7 +279,7 @@ func TestCancelMidRoundLeavesFitUntouched(t *testing.T) {
 	// The stub rates fit λo(c) = c exactly; the canceled round must not
 	// have folded its records (they would keep the same exact fit here,
 	// so also check the aggregate count).
-	if n := c.aggs[2].N; n != 10 {
+	if n := c.belief[2].N; n != 10 {
 		t.Fatalf("aggregates hold %d records at price 2; the canceled round must not fold (want 10)", n)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 
+	"hputune/internal/inference"
 	"hputune/internal/server"
 )
 
@@ -24,23 +24,20 @@ import (
 // node (may be empty when the document never carried one).
 type AggregatesError struct {
 	Node  string
-	Price int
 	Cause string
 }
 
 func (e *AggregatesError) Error() string {
-	if e.Price != 0 {
-		return fmt.Sprintf("cluster: aggregates from %q: price %d: %s", e.Node, e.Price, e.Cause)
-	}
 	return fmt.Sprintf("cluster: aggregates from %q: %s", e.Node, e.Cause)
 }
 
 // DecodeAggregates decodes and validates one aggregate-exchange reply.
 // The document must be a single JSON object with no unknown fields and
 // no trailing data; every price must be >= 1 and every aggregate finite
-// and non-negative — the same domain the ingest handlers admit, so a
-// merged map is always a legal FitAggregates input. It never panics on
-// arbitrary input (fuzzed in FuzzAggregatesDecode).
+// and non-negative — the same check (inference.Belief.CheckMerge) the
+// ingest path and WAL replay run, so a merged map is always a legal
+// FitAggregates input. It never panics on arbitrary input (fuzzed in
+// FuzzAggregatesDecode).
 func DecodeAggregates(data []byte) (server.ReplicationAggregatesResponse, error) {
 	var doc server.ReplicationAggregatesResponse
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -51,20 +48,14 @@ func DecodeAggregates(data []byte) (server.ReplicationAggregatesResponse, error)
 	if dec.More() {
 		return server.ReplicationAggregatesResponse{}, fmt.Errorf("cluster: decode aggregates: trailing data after the document")
 	}
+	if err := inference.Belief(nil).CheckMerge(doc.Aggs); err != nil {
+		return server.ReplicationAggregatesResponse{}, &AggregatesError{Node: doc.Node, Cause: err.Error()}
+	}
 	var total uint64
-	for price, agg := range doc.Aggs {
-		if price < 1 {
-			return server.ReplicationAggregatesResponse{}, &AggregatesError{Node: doc.Node, Price: price, Cause: "price below 1 (model domain is c >= 1)"}
-		}
-		if agg.N < 0 {
-			return server.ReplicationAggregatesResponse{}, &AggregatesError{Node: doc.Node, Price: price, Cause: fmt.Sprintf("negative observation count %d", agg.N)}
-		}
-		if !(agg.Total >= 0) || math.IsInf(agg.Total, 1) {
-			return server.ReplicationAggregatesResponse{}, &AggregatesError{Node: doc.Node, Price: price, Cause: fmt.Sprintf("duration total %v is not a finite non-negative number", agg.Total)}
-		}
+	for _, agg := range doc.Aggs {
 		sum := total + uint64(agg.N)
 		if sum < total {
-			return server.ReplicationAggregatesResponse{}, &AggregatesError{Node: doc.Node, Price: price, Cause: "observation counts overflow"}
+			return server.ReplicationAggregatesResponse{}, &AggregatesError{Node: doc.Node, Cause: "observation counts overflow"}
 		}
 		total = sum
 	}

@@ -288,17 +288,18 @@ func (tw *truncatingWriter) Write(p []byte) (int, error) {
 }
 
 // TestCheckHealthStrikesNodeWithFailedWAL: a node whose disk has gone
-// away keeps answering requests from memory, but its healthz reports
-// the lost durability, so CheckHealth marks it unhealthy and the
-// watchdog can promote its replica.
+// away refuses the write it cannot journal, and its healthz reports the
+// lost durability, so CheckHealth marks it unhealthy and the watchdog
+// can promote its replica.
 func TestCheckHealthStrikesNodeWithFailedWAL(t *testing.T) {
 	cl, _, nodes := drillCluster(t, []string{"n0", "n1"}, map[string]func(io.Writer) io.Writer{
 		"n1": func(w io.Writer) io.Writer { return &truncatingWriter{w: w} },
 	})
 	ingest := `{"TaskID": "t1", "Rep": 1, "Price": 1, "PostedAt": 0, "Accepted": 0.5, "Done": 1, "WorkerID": 1, "Correct": true}`
+	want := map[string]int{"n0": http.StatusOK, "n1": http.StatusServiceUnavailable}
 	for _, n := range nodes {
-		if resp, raw := postDoc(t, n.ts.URL+"/v1/ingest", ingest); resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest on %s: status %d: %s", n.name, resp.StatusCode, raw)
+		if resp, raw := postDoc(t, n.ts.URL+"/v1/ingest", ingest); resp.StatusCode != want[n.name] {
+			t.Fatalf("ingest on %s: status %d, want %d: %s", n.name, resp.StatusCode, want[n.name], raw)
 		}
 	}
 	if nodes["n1"].st.Err() == nil {

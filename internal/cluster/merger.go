@@ -12,7 +12,6 @@ import (
 
 	"hputune/internal/inference"
 	"hputune/internal/server"
-	"hputune/internal/store"
 )
 
 // Merger closes the cluster's fit divergence: ingest partitions by
@@ -124,7 +123,6 @@ func (m *Merger) Tick(ctx context.Context) error {
 		}
 		docs[i] = doc
 	}
-	merged := make(map[int]inference.PriceAggregate)
 	sources := make(map[string]uint64, len(nodes))
 	m.mu.Lock()
 	for i, n := range nodes {
@@ -141,11 +139,19 @@ func (m *Merger) Tick(ctx context.Context) error {
 	// Merge in the (sorted) node order: float addition is not
 	// associative, so a fixed order is what makes repeated merges of the
 	// same partitions bit-identical.
-	for i := range nodes {
-		merged = inference.MergeAggregates(merged, docs[i].Aggs)
+	var merged inference.Belief
+	for i, n := range nodes {
+		if err := merged.Merge(docs[i].Aggs); err != nil {
+			m.mu.Lock()
+			m.skipped++
+			m.mu.Unlock()
+			return fmt.Errorf("cluster: merge aggregates of %s: %w", n.Name, err)
+		}
 	}
-	res, err := inference.FitAggregates(merged)
-	if err != nil {
+	// A fit the guard refuses is still pushed: each node runs the same
+	// guard and reports the refusal, which the push loop logs.
+	cand, _ := merged.Fit()
+	if cand.Prices == 0 {
 		// Fewer than two distinct prices across the whole cluster: nothing
 		// to publish yet, not a failure.
 		m.mu.Lock()
@@ -153,14 +159,7 @@ func (m *Merger) Tick(ctx context.Context) error {
 		m.mu.Unlock()
 		return nil
 	}
-	body, err := json.Marshal(server.MergedFitRequest{
-		Fit: store.FitRecord{
-			Slope: res.Fit.Slope, Intercept: res.Fit.Intercept,
-			R2: res.Fit.R2, SE: res.Fit.SE, N: res.Fit.N,
-			Prices: len(res.Prices),
-		},
-		Sources: sources,
-	})
+	body, err := json.Marshal(server.MergedFitRequest{Fit: cand, Sources: sources})
 	if err != nil {
 		return fmt.Errorf("cluster: encode merged fit: %w", err)
 	}

@@ -35,26 +35,6 @@ func (a PriceAggregate) Rate() (float64, error) {
 	return float64(a.N) / a.Total, nil
 }
 
-// MergeAggregates folds src into dst price by price, returning dst
-// (allocated when nil). Because each aggregate is an additive
-// sufficient statistic, merging per-partition maps and fitting the
-// union is exactly equivalent to having ingested every record in one
-// process — the identity the cluster's cross-node fit exchange relies
-// on. Merge order does not change counts; callers that need bit-exact
-// totals across runs must still merge partitions in a fixed order,
-// since float addition is not associative.
-func MergeAggregates(dst, src map[int]PriceAggregate) map[int]PriceAggregate {
-	if dst == nil {
-		dst = make(map[int]PriceAggregate, len(src))
-	}
-	for price, agg := range src {
-		d := dst[price]
-		d.Add(agg.N, agg.Total)
-		dst[price] = d
-	}
-	return dst
-}
-
 // FitAggregates computes the per-price MLE rates and fits the Linearity
 // Hypothesis λo(c) = Slope·c + Intercept across them — the offline-trace
 // counterpart of Probe.SweepLinearity. At least two distinct prices with

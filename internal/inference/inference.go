@@ -10,6 +10,12 @@
 //     the N acceptances;
 //   - Random Period: publish probe tasks, stop once N are accepted, note
 //     the elapsed T₀ (optionally bias-corrected by (N−1)/N).
+//
+// Belief is the single site where observed traces become a published
+// rate model: it holds the per-price aggregates behind the MLE, applies
+// the one record filter, fits the Linearity Hypothesis and runs the one
+// rate-model guard (GuardFit). Campaigns, the serving layer's ingest and
+// merged-fit endpoints, and the cluster merger all publish through it.
 package inference
 
 import (

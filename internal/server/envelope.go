@@ -36,8 +36,9 @@ const (
 	// /v1/replication/state and resume shipping from its sequence.
 	CodeCompacted = "compacted"
 	// CodeDurabilityLost: the node's WAL has failed and it can no
-	// longer journal (503 on /v1/healthz); its replica, not this node,
-	// holds the acknowledged history.
+	// longer journal (503 on /v1/healthz, and on ingest and merged-fit
+	// writes the WAL refused); its replica, not this node, holds the
+	// acknowledged history.
 	CodeDurabilityLost = "durability_lost"
 	// CodeInternal: an unexpected server-side failure (5xx fallback).
 	CodeInternal = "internal"
@@ -110,6 +111,12 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // writeOverloaded writes the 503 capacity reply with a retry hint.
 func writeOverloaded(w http.ResponseWriter, retry time.Duration, format string, args ...any) {
 	writeEnvelope(w, http.StatusServiceUnavailable, CodeOverloaded, retry, format, args...)
+}
+
+// writeDurabilityLost writes the 503 reply of a node whose WAL has
+// failed (no retry hint: the failure is sticky).
+func writeDurabilityLost(w http.ResponseWriter, format string, args ...any) {
+	writeEnvelope(w, http.StatusServiceUnavailable, CodeDurabilityLost, 0, format, args...)
 }
 
 // writeSuspended writes the 503 drain-time reply (no retry hint: this

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"hputune/internal/campaign"
-	"hputune/internal/numeric"
 	"hputune/internal/pricing"
 	"hputune/internal/spec"
 	"hputune/internal/store"
@@ -51,17 +50,11 @@ func Recover(cfg Config, st *store.Store) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Ingest state: the aggregates map is our private deep copy.
-	if len(state.Aggs) > 0 {
-		s.aggs = state.Aggs
-	}
+	// Ingest state: state is our private deep copy.
+	s.belief = state.Aggs
 	s.records.Store(state.Records)
-	if f := state.Fit; f != nil {
-		s.fit.Store(&fitState{
-			model:  pricing.Linear{K: f.Slope, B: f.Intercept},
-			fit:    numeric.LinearFit{Slope: f.Slope, Intercept: f.Intercept, R2: f.R2, SE: f.SE, N: f.N},
-			prices: f.Prices,
-		})
+	if state.Fit != nil {
+		s.fit.Store(state.Fit)
 	}
 
 	s.campaigns.SetJournal(storeJournal{st: st})

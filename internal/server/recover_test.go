@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"hputune/internal/campaign"
+	"hputune/internal/inference"
 	"hputune/internal/spec"
 	"hputune/internal/store"
 )
@@ -176,17 +179,117 @@ func (tw *truncatingWriter) Write(p []byte) (int, error) {
 }
 
 // dyingDiskWriter delegates until broken is set, then fails every write
-// with EIO, as a disk that has gone away does.
+// with EIO, as a disk that has gone away does. grace, when set, lets
+// that many more writes through after the break first.
 type dyingDiskWriter struct {
 	w      io.Writer
 	broken *atomic.Bool
+	grace  *atomic.Int64
 }
 
 func (dw *dyingDiskWriter) Write(p []byte) (int, error) {
-	if dw.broken.Load() {
+	if dw.broken.Load() && (dw.grace == nil || dw.grace.Add(-1) < 0) {
 		return 0, syscall.EIO
 	}
 	return dw.w.Write(p)
+}
+
+// TestFitWritesRefusedOnceWALFails pins journal-before-publish on the
+// fit writers: once the WAL fails, /v1/ingest and /v1/replication/fit
+// answer 503 durability_lost instead of acknowledging from memory, the
+// served fit and record count stay what the WAL holds, and a crash
+// recovery of the directory serves exactly the same belief and fit. The
+// grace row breaks the disk between an ingest batch's record and its
+// fit's: the batch is durable and counted, the fit is not published.
+func TestFitWritesRefusedOnceWALFails(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		path  string
+		body  string
+		grace int64
+		// journaled is how many of the refused request's records the
+		// WAL still took.
+		journaled uint64
+	}{
+		{name: "ingest", path: "/v1/ingest", body: ingestBody(t, []int{3, 6}, 20)},
+		{name: "ingest-fit", path: "/v1/ingest", body: ingestBody(t, []int{3, 6}, 20), grace: 1, journaled: 40},
+		{name: "merged-fit", path: "/v1/replication/fit",
+			body: `{"fit":{"slope":0.25,"intercept":0.5,"r2":0.99,"se":0.01,"n":8,"prices":4},"sources":{"n0":7}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var broken atomic.Bool
+			var grace atomic.Int64
+			st, s, ts := recoverTestServer(t, dir, store.Options{
+				WrapWAL: func(w io.Writer) io.Writer { return &dyingDiskWriter{w: w, broken: &broken, grace: &grace} },
+			})
+			if resp, raw := postJSON(t, ts.URL+"/v1/ingest", ingestBody(t, []int{1, 2, 4}, 20)); resp.StatusCode != 200 {
+				t.Fatalf("first ingest: status %d: %s", resp.StatusCode, raw)
+			}
+			fitBefore, ok := s.Fit()
+			if !ok {
+				t.Fatal("no fit after the first ingest")
+			}
+			grace.Store(tc.grace)
+			broken.Store(true)
+
+			resp, raw := postJSON(t, ts.URL+tc.path, tc.body)
+			var env ErrorEnvelope
+			if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(raw, &env) != nil || env.Error.Code != CodeDurabilityLost {
+				t.Fatalf("%s after the WAL failed: status %d: %s; want 503 %s", tc.path, resp.StatusCode, raw, CodeDurabilityLost)
+			}
+			if fit, ok := s.Fit(); !ok || fit != fitBefore {
+				t.Fatalf("fit %+v after a refused write, want %+v", fit, fitBefore)
+			}
+			var m MetricsSnapshot
+			mresp, err := http.Get(ts.URL + "/v1/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(mresp.Body).Decode(&m)
+			mresp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 60 + tc.journaled; m.Serve.IngestedRecords != want {
+				t.Fatalf("serve.ingestedRecords %d after a refused write, want %d", m.Serve.IngestedRecords, want)
+			}
+			hresp, err := http.Get(ts.URL + "/v1/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hresp.Body.Close()
+			if hresp.StatusCode == http.StatusOK {
+				t.Fatal("healthz answers 200 on a node whose WAL failed")
+			}
+
+			ts.Close()
+			st.Close()
+			st2, err := store.Open(dir, store.Options{NoSync: true})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer st2.Close()
+			s2, err := Recover(Config{}, st2)
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if fit, ok := s2.Fit(); !ok || fit != fitBefore {
+				t.Fatalf("recovered fit %+v, want the served %+v", fit, fitBefore)
+			}
+			if got, want := s2.records.Load(), 60+tc.journaled; got != want {
+				t.Fatalf("recovered %d records, want the served %d", got, want)
+			}
+			aggs := func(s *Server) map[int]inference.PriceAggregate {
+				s.ingestMu.Lock()
+				defer s.ingestMu.Unlock()
+				return maps.Clone(s.belief)
+			}
+			if got, want := aggs(s2), aggs(s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered aggregates %v, want the served %v", got, want)
+			}
+		})
+	}
 }
 
 // TestHealthzReportsDurabilityLost pins the health contract the cluster
@@ -212,8 +315,7 @@ func TestHealthzReportsDurabilityLost(t *testing.T) {
 			}
 			if tc.diskDies {
 				broken.Store(true)
-				// Ingest still acknowledges from memory; its journal
-				// append is what trips the sticky failure.
+				// The ingest's journal append trips the sticky failure.
 				postJSON(t, ts.URL+"/v1/ingest", ingestBody(t, []int{3, 6}, 20))
 				if st.Err() == nil {
 					t.Fatal("WAL never failed")

@@ -2,12 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
 	"net/http"
 	"strconv"
 
 	"hputune/internal/inference"
-	"hputune/internal/numeric"
 	"hputune/internal/store"
 )
 
@@ -151,14 +151,10 @@ func (s *Server) handleReplicationAggregates(w http.ResponseWriter, r *http.Requ
 		resp.Aggs = state.Aggs
 	} else {
 		s.ingestMu.Lock()
-		aggs := make(map[int]inference.PriceAggregate, len(s.aggs))
-		for price, agg := range s.aggs {
-			aggs[price] = agg
-		}
+		resp.Aggs = maps.Clone(s.belief)
 		s.ingestMu.Unlock()
 		resp.Records = s.records.Load()
 		resp.Version = resp.Records
-		resp.Aggs = aggs
 	}
 	if resp.Aggs == nil {
 		resp.Aggs = map[int]inference.PriceAggregate{}
@@ -180,16 +176,19 @@ type MergedFitRequest struct {
 // false means the guard kept the previous fit; FitPending carries the
 // same reason string an ingest re-fit would have reported.
 type MergedFitResponse struct {
-	Published  bool     `json:"published"`
-	Fit        *FitInfo `json:"fit,omitempty"`
-	FitPending string   `json:"fitPending,omitempty"`
+	Published  bool               `json:"published"`
+	Fit        *inference.FitInfo `json:"fit,omitempty"`
+	FitPending string             `json:"fitPending,omitempty"`
 }
 
-// handleReplicationFit publishes a cluster-merged fit through the exact
-// guarded path a local ingest re-fit takes: the slope/rate contract is
-// checked, a violating fit is refused with the previous fit kept live,
-// and an accepted fit is swapped in atomically and journaled (as a
-// merged-fit record, so recovery restores it bit-identically).
+// handleReplicationFit publishes a cluster-merged fit through the guard
+// a local ingest re-fit takes: a fit that violates the rate-model
+// contract is refused with the previous fit kept live, and an accepted
+// fit is journaled (as a merged-fit record, so recovery restores it
+// bit-identically) and then swapped in atomically. A fit the WAL
+// refused is answered 503 durability_lost and never served. The body
+// is outside input, so its finiteness and point counts are checked
+// here before the guard sees it.
 func (s *Server) handleReplicationFit(w http.ResponseWriter, r *http.Request) {
 	var req MergedFitRequest
 	dec := json.NewDecoder(r.Body)
@@ -213,25 +212,24 @@ func (s *Server) handleReplicationFit(w http.ResponseWriter, r *http.Request) {
 			"merged fit over %d points at %d prices; a fit needs >= 2 of each", req.Fit.N, req.Fit.Prices)
 		return
 	}
-	fit := numeric.LinearFit{Slope: req.Fit.Slope, Intercept: req.Fit.Intercept, R2: req.Fit.R2, SE: req.Fit.SE, N: req.Fit.N}
-	cand, reason := guardFit(fit, req.Fit.Prices)
-	if cand == nil {
-		w.Header().Set(nodeHeader, s.cfg.Node)
-		writeJSON(w, http.StatusOK, MergedFitResponse{FitPending: reason})
+	w.Header().Set(nodeHeader, s.cfg.Node)
+	if pending := inference.GuardFit(req.Fit); pending != "" {
+		writeJSON(w, http.StatusOK, MergedFitResponse{FitPending: pending})
 		return
 	}
-	// ingestMu serializes the publish + journal pair with handleIngest's,
+	// ingestMu serializes the journal + publish pair with handleIngest's,
 	// so the WAL's fit order always matches the order the models were
 	// actually swapped in.
 	s.ingestMu.Lock()
-	s.fit.Store(cand)
 	if s.st != nil {
-		_ = s.st.AppendMergedFit(req.Fit, req.Sources)
+		if err := s.st.AppendMergedFit(req.Fit, req.Sources); err != nil {
+			s.ingestMu.Unlock()
+			writeDurabilityLost(w, "journal merged fit: %v", err)
+			return
+		}
 	}
+	s.fit.Store(&req.Fit)
 	s.ingestMu.Unlock()
-	w.Header().Set(nodeHeader, s.cfg.Node)
-	writeJSON(w, http.StatusOK, MergedFitResponse{
-		Published: true,
-		Fit:       &FitInfo{Slope: fit.Slope, Intercept: fit.Intercept, R2: fit.R2, Prices: req.Fit.Prices},
-	})
+	info := req.Fit.Info()
+	writeJSON(w, http.StatusOK, MergedFitResponse{Published: true, Fit: &info})
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"mime"
 	"net/http"
 	"sync"
@@ -44,7 +43,6 @@ import (
 	"hputune/internal/htuning"
 	"hputune/internal/inference"
 	"hputune/internal/market"
-	"hputune/internal/numeric"
 	"hputune/internal/pricing"
 	"hputune/internal/spec"
 	"hputune/internal/store"
@@ -151,32 +149,6 @@ type Config struct {
 	Node string
 }
 
-// fitState is one immutable trace-inferred rate model; the current one
-// is swapped in atomically so solves pick it up without locking.
-type fitState struct {
-	model pricing.Linear
-	fit   numeric.LinearFit
-	// prices is how many distinct price levels back the fit.
-	prices int
-}
-
-// guardFit validates one candidate rate model against the contract
-// every solver assumes (positive, non-decreasing rate for c >= 1) and
-// returns its publishable state, or the fitPending reason the caller
-// reports while keeping the previous fit live. Both the local ingest
-// re-fit and the cluster's merged-fit push publish through this guard,
-// so a noisy partition can no more poison the cluster model than a
-// noisy trace can poison a standalone node's.
-func guardFit(fit numeric.LinearFit, prices int) (*fitState, string) {
-	model := pricing.Linear{K: fit.Slope, B: fit.Intercept}
-	if fit.Slope < 0 || !(model.Rate(1) > 0) {
-		return nil, fmt.Sprintf(
-			"fit %s violates the rate-model contract (need slope >= 0 and a positive rate at price 1); keeping the previous fit",
-			fit)
-	}
-	return &fitState{model: model, fit: fit, prices: prices}, ""
-}
-
 // Server implements the HTTP API. Create with New; it is safe for
 // concurrent use by any number of requests.
 type Server struct {
@@ -200,11 +172,13 @@ type Server struct {
 	// switches shutdown from canceling campaigns to suspending them.
 	st *store.Store
 
-	// ingestMu serializes fit recomputation; aggs is the O(#prices)
-	// sufficient statistic of everything ever ingested.
+	// ingestMu serializes belief updates, fit publishes and their
+	// journal appends; belief is the O(#prices) sufficient statistic of
+	// everything ever ingested. fit is the published model, swapped in
+	// atomically so solves pick it up without locking.
 	ingestMu sync.Mutex
-	aggs     map[int]inference.PriceAggregate
-	fit      atomic.Pointer[fitState]
+	belief   inference.Belief
+	fit      atomic.Pointer[inference.Candidate]
 
 	records   atomic.Uint64 // trace records ingested
 	solves    atomic.Uint64 // problems solved (RA + HA)
@@ -236,7 +210,6 @@ func New(cfg Config) (*Server, error) {
 		}),
 		ingestGate: conc.NewGate(maxIngestInFlight),
 		campaigns:  campaign.NewManager(est, cfg.MaxCampaigns),
-		aggs:       make(map[int]inference.PriceAggregate),
 		limiter: traffic.NewLimiter(traffic.LimiterConfig{
 			Rate:       tc.RatePerClient,
 			Burst:      tc.RateBurst,
@@ -314,7 +287,7 @@ func (s *Server) Store() *store.Store { return s.st }
 // mixes two fits within one solve.
 func (s *Server) buildOpts() spec.BuildOpts {
 	if f := s.fit.Load(); f != nil {
-		return spec.BuildOpts{Fitted: f.model}
+		return spec.BuildOpts{Fitted: f.Info().Model()}
 	}
 	return spec.BuildOpts{}
 }
@@ -322,7 +295,7 @@ func (s *Server) buildOpts() spec.BuildOpts {
 // Fit returns the current trace-inferred linear model, if any.
 func (s *Server) Fit() (pricing.Linear, bool) {
 	if f := s.fit.Load(); f != nil {
-		return f.model, true
+		return f.Info().Model(), true
 	}
 	return pricing.Linear{}, false
 }
@@ -626,15 +599,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// FitInfo describes the current linearity fit in responses.
-type FitInfo struct {
-	Slope     float64 `json:"slope"`
-	Intercept float64 `json:"intercept"`
-	R2        float64 `json:"r2"`
-	// Prices is how many distinct price levels back the fit.
-	Prices int `json:"prices"`
-}
-
 // IngestResponse is the /v1/ingest reply.
 type IngestResponse struct {
 	// Records accepted in this request.
@@ -643,16 +607,19 @@ type IngestResponse struct {
 	TotalRecords uint64 `json:"totalRecords"`
 	// Fit is the re-tuned model, present once two price levels have
 	// been observed.
-	Fit *FitInfo `json:"fit,omitempty"`
+	Fit *inference.FitInfo `json:"fit,omitempty"`
 	// FitPending explains why no fit was produced (e.g. only one price
 	// level observed so far); the previous fit, if any, stays live.
 	FitPending string `json:"fitPending,omitempty"`
 }
 
-// handleIngest folds trace records into the per-price aggregates,
-// re-runs the MLE + linearity fit, and publishes the new model
-// atomically. The body is CSV (Content-Type text/csv) or JSON Lines
-// (anything else) in the trace package's wire formats. Ingest has its
+// handleIngest folds trace records into the belief, re-runs the MLE +
+// linearity fit, and publishes the new model atomically. On a
+// store-backed server each step is journaled before it is applied, so
+// a batch or fit the WAL refused is answered 503 durability_lost and
+// leaves the belief and fit as the WAL holds them. The body is CSV
+// (Content-Type text/csv) or JSON Lines (anything else) in the trace
+// package's wire formats. Ingest has its
 // own small admission gate rather than sharing the solve gate: solve
 // traffic must not starve re-tuning, but an upload holds a few times
 // its body size while parsing, so unbounded concurrency would be an
@@ -685,84 +652,57 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// (aggregates have no subtract, so a partial merge would double-count
 	// on retry). Folding straight into the O(#prices) sufficient
 	// statistic avoids buffering a second copy of every duration.
-	deltas := make(map[int]inference.PriceAggregate)
+	var batch inference.Belief
 	for _, rec := range recs {
-		if rec.Price < 1 {
-			writeError(w, http.StatusBadRequest, "record %q rep %d: price %d below 1 unit (model domain is c >= 1)", rec.TaskID, rec.Rep, rec.Price)
+		if err := batch.Observe(rec); err != nil {
+			writeError(w, http.StatusBadRequest, "record %q rep %d: %v", rec.TaskID, rec.Rep, err)
 			return
 		}
-		d := rec.OnHold()
-		// Finite and non-negative: one +Inf duration would push the
-		// price's add-only Total to +Inf and zero its MLE rate forever.
-		if !(d >= 0) || math.IsInf(d, 1) {
-			writeError(w, http.StatusBadRequest, "record %q rep %d: on-hold duration %v is not a finite non-negative number", rec.TaskID, rec.Rep, d)
-			return
-		}
-		agg := deltas[rec.Price]
-		agg.Add(1, d)
-		deltas[rec.Price] = agg
 	}
-	resp := IngestResponse{Records: len(recs)}
 
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	newLevels := 0
-	for price := range deltas {
-		if _, ok := s.aggs[price]; !ok {
-			newLevels++
+	levels := len(s.belief)
+	for price := range batch {
+		if _, ok := s.belief[price]; !ok {
+			levels++
 		}
 	}
-	if len(s.aggs)+newLevels > maxPriceLevels {
+	if levels > maxPriceLevels {
 		writeError(w, http.StatusBadRequest,
-			"ingest would track %d distinct price levels, above the %d service limit", len(s.aggs)+newLevels, maxPriceLevels)
+			"ingest would track %d distinct price levels, above the %d service limit", levels, maxPriceLevels)
 		return
 	}
-	// Validate every merged total before committing any: finite records
-	// can still sum past the float64 range, and an add-only +Inf total
-	// would zero that price's MLE rate for the life of the process.
-	for price, delta := range deltas {
-		if math.IsInf(s.aggs[price].Total+delta.Total, 1) {
-			writeError(w, http.StatusBadRequest,
-				"durations at price %d sum past the float64 range", price)
+	if err := s.belief.CheckMerge(batch); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// Journal while still holding ingestMu, so WAL order matches commit
+	// order, and before applying, so a refused append changes nothing.
+	if s.st != nil {
+		if err := s.st.AppendIngest(batch, len(recs)); err != nil {
+			writeDurabilityLost(w, "journal ingest batch: %v", err)
 			return
 		}
 	}
-	for price, delta := range deltas {
-		agg := s.aggs[price]
-		agg.Add(delta.N, delta.Total)
-		s.aggs[price] = agg
-	}
-	resp.TotalRecords = s.records.Add(uint64(len(recs)))
+	_ = s.belief.Merge(batch) // CheckMerge passed under the same ingestMu
+	resp := IngestResponse{Records: len(recs), TotalRecords: s.records.Add(uint64(len(recs)))}
 	s.ingests.Add(1)
-	var published *fitState
-	if res, err := inference.FitAggregates(s.aggs); err != nil {
-		// No usable fit yet (e.g. observations at fewer than two price
-		// levels): keep serving the previous fit, tell the client why.
-		resp.FitPending = err.Error()
-	} else if cand, reason := guardFit(res.Fit, len(res.Prices)); cand == nil {
-		// A noisy trace can least-squares into a decreasing or
-		// non-positive rate line, which violates the RateModel contract
-		// every solver assumes (positive, non-decreasing for c >= 1).
-		// Keep the previous fit live rather than publish a broken one.
-		resp.FitPending = reason
-	} else {
-		published = cand
-		s.fit.Store(published)
-		resp.Fit = &FitInfo{Slope: res.Fit.Slope, Intercept: res.Fit.Intercept, R2: res.Fit.R2, Prices: published.prices}
-	}
-	if s.st != nil {
-		// Journal while still holding ingestMu, so WAL order matches
-		// commit order. The aggregates were committed above either way —
-		// a store failure (sticky, logged via its OnError hook) degrades
-		// durability, not the live fit.
-		_ = s.st.AppendIngest(deltas, len(recs))
-		if published != nil {
-			_ = s.st.AppendFit(store.FitRecord{
-				Slope: published.fit.Slope, Intercept: published.fit.Intercept,
-				R2: published.fit.R2, SE: published.fit.SE, N: published.fit.N,
-				Prices: published.prices,
-			})
+	// A pending fit (none yet, or one the guard refused) keeps the
+	// previous fit live; the reply says why.
+	cand, pending := s.belief.Fit()
+	resp.FitPending = pending
+	if pending == "" {
+		if s.st != nil {
+			if err := s.st.AppendFit(cand); err != nil {
+				// The batch is durable and applied; the fit is neither.
+				writeDurabilityLost(w, "batch journaled, fit not: %v", err)
+				return
+			}
 		}
+		s.fit.Store(&cand)
+		info := cand.Info()
+		resp.Fit = &info
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -783,7 +723,7 @@ type StatsResponse struct {
 	Cache     htuning.CacheStats `json:"cache"`
 	Serve     ServeStats         `json:"serve"`
 	Campaigns campaign.Stats     `json:"campaigns"`
-	Fit       *FitInfo           `json:"fit"`
+	Fit       *inference.FitInfo `json:"fit"`
 }
 
 // ServeStats are the request-level counters.
@@ -818,14 +758,14 @@ func (s *Server) serveStats() ServeStats {
 }
 
 // handleHealthz answers 200 while the node can journal. Once the WAL
-// has sticky-failed, every write the node still acknowledges from
-// memory is lost on restart, so it answers 503 durability_lost: the
-// cluster watchdog strikes the node and promotes its replica. Reads
+// has sticky-failed, the campaign writes the node still acknowledges
+// from memory are lost on restart, so it answers 503 durability_lost:
+// the cluster watchdog strikes the node and promotes its replica. Reads
 // keep serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.st != nil {
 		if err := s.st.Err(); err != nil {
-			writeEnvelope(w, http.StatusServiceUnavailable, CodeDurabilityLost, 0, "WAL failed: %v", err)
+			writeDurabilityLost(w, "WAL failed: %v", err)
 			return
 		}
 	}
@@ -839,7 +779,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Serve:     s.serveStats(),
 	}
 	if f := s.fit.Load(); f != nil {
-		resp.Fit = &FitInfo{Slope: f.fit.Slope, Intercept: f.fit.Intercept, R2: f.fit.R2, Prices: f.prices}
+		info := f.Info()
+		resp.Fit = &info
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"hputune/internal/engine"
 	"hputune/internal/htuning"
+	"hputune/internal/inference"
 	"hputune/internal/market"
 	"hputune/internal/spec"
 	"hputune/internal/trace"
@@ -433,6 +435,71 @@ func TestIngestCSV(t *testing.T) {
 	}
 	if ing.Records != 20 || ing.Fit == nil {
 		t.Errorf("unexpected CSV ingest reply: %s", raw)
+	}
+}
+
+// TestIngestRecordFilter pins the one record filter shared by campaign
+// folds and ingest: price >= 1 and a finite, non-negative on-hold time.
+// Belief.Observe drops a bad record with a reason; /v1/ingest refuses a
+// batch holding it with 400 and that same reason, folding nothing.
+func TestIngestRecordFilter(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	valid := market.RepRecord{TaskID: "ok", Rep: 1, Price: 2, PostedAt: 1, Accepted: 1.5, Done: 2, WorkerID: 1}
+	for _, tc := range []struct {
+		name    string
+		price   int
+		onHold  float64
+		refusal string
+	}{
+		{"valid", 3, 0.25, ""},
+		{"price-zero", 0, 0.5, "price 0 below 1 unit (model domain is c >= 1)"},
+		{"negative-hold", 2, -1, "on-hold duration -1 is not a finite non-negative number"},
+		{"nan-hold", 2, math.NaN(), "on-hold duration NaN is not a finite non-negative number"},
+		{"inf-hold", 2, math.Inf(1), "on-hold duration +Inf is not a finite non-negative number"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := market.RepRecord{TaskID: tc.name, Rep: 1, Price: tc.price, PostedAt: 1, Accepted: 1 + tc.onHold, Done: 3, WorkerID: 2}
+			var b inference.Belief
+			err := b.Observe(rec)
+			if tc.refusal == "" {
+				if err != nil || b[tc.price] != (inference.PriceAggregate{N: 1, Total: tc.onHold}) {
+					t.Fatalf("Observe(valid): err %v, aggregates %v", err, b)
+				}
+			} else if err == nil || err.Error() != tc.refusal || b != nil {
+				t.Fatalf("Observe: err %v, aggregates %v; want refusal %q and nothing folded", err, b, tc.refusal)
+			}
+
+			before := s.records.Load()
+			var buf bytes.Buffer
+			if err := trace.WriteCSV(&buf, []market.RepRecord{valid, rec}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/ingest", "text/csv", &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if tc.refusal == "" {
+				if resp.StatusCode != http.StatusOK || s.records.Load() != before+2 {
+					t.Fatalf("valid batch: status %d: %s", resp.StatusCode, raw)
+				}
+				return
+			}
+			var env ErrorEnvelope
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &env) != nil ||
+				env.Error.Message != fmt.Sprintf("record %q rep 1: %s", tc.name, tc.refusal) {
+				t.Fatalf("status %d: %s; want 400 with reason %q", resp.StatusCode, raw, tc.refusal)
+			}
+			if s.records.Load() != before {
+				t.Fatal("a refused batch was counted")
+			}
+		})
+	}
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if got := s.belief; len(got) != 2 || got[2].N != 1 || got[3].N != 1 {
+		t.Fatalf("belief %v, want only the valid batch's two records", got)
 	}
 }
 

@@ -16,15 +16,8 @@ const maxArchived = 1024
 
 // FitRecord is one published trace-inferred linear rate model — enough
 // to restore the serving layer's fit (and its /v1/stats description)
-// exactly.
-type FitRecord struct {
-	Slope     float64 `json:"slope"`
-	Intercept float64 `json:"intercept"`
-	R2        float64 `json:"r2"`
-	SE        float64 `json:"se"`
-	N         int     `json:"n"`
-	Prices    int     `json:"prices"`
-}
+// exactly. It is the belief's own candidate type, journaled as is.
+type FitRecord = inference.Candidate
 
 // MergedFitRecord is one cluster-merged fit publication: the fit
 // itself — restored on replay exactly like a locally inferred one —
@@ -86,9 +79,9 @@ type State struct {
 	// Ingest state: the O(#price levels) sufficient statistic of every
 	// accepted trace record, the lifetime accepted-record count, and the
 	// currently published fit (nil while none).
-	Aggs    map[int]inference.PriceAggregate `json:"aggs,omitempty"`
-	Records uint64                           `json:"records,omitempty"`
-	Fit     *FitRecord                       `json:"fit,omitempty"`
+	Aggs    inference.Belief `json:"aggs,omitempty"`
+	Records uint64           `json:"records,omitempty"`
+	Fit     *FitRecord       `json:"fit,omitempty"`
 
 	// Campaign state.
 	Fleets    []FleetRecord             `json:"fleets,omitempty"`
@@ -108,7 +101,7 @@ type State struct {
 // NewState returns an empty state.
 func NewState() *State {
 	return &State{
-		Aggs:      make(map[int]inference.PriceAggregate),
+		Aggs:      make(inference.Belief),
 		Campaigns: make(map[string]*CampaignState),
 	}
 }
@@ -175,20 +168,10 @@ func (st *State) applyIngest(data json.RawMessage) error {
 	if d.Count < 0 {
 		return fmt.Errorf("negative record count %d", d.Count)
 	}
-	// Validate every delta before applying any: a rejected record must
-	// leave the state untouched, never half-merged.
-	for price, delta := range d.Deltas {
-		if price < 1 {
-			return fmt.Errorf("price %d below 1", price)
-		}
-		if delta.N < 0 || !(delta.Total >= 0) || math.IsInf(delta.Total, 1) {
-			return fmt.Errorf("price %d: aggregate delta (%d, %v) is not finite non-negative", price, delta.N, delta.Total)
-		}
-	}
-	for price, delta := range d.Deltas {
-		agg := st.Aggs[price]
-		agg.Add(delta.N, delta.Total)
-		st.Aggs[price] = agg
+	// Merge is all-or-nothing: a rejected record leaves the state
+	// untouched, never half-merged.
+	if err := st.Aggs.Merge(d.Deltas); err != nil {
+		return err
 	}
 	st.Records += uint64(d.Count)
 	return nil

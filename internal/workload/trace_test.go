@@ -68,9 +68,11 @@ func TestDyadicTracePartitionOrderInvariance(t *testing.T) {
 			parts[i][r.Price] = agg
 		}
 	}
-	merged := make(map[int]inference.PriceAggregate)
+	var merged inference.Belief
 	for i := len(parts) - 1; i >= 0; i-- {
-		merged = inference.MergeAggregates(merged, parts[i])
+		if err := merged.Merge(parts[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for price, w := range whole {
